@@ -240,7 +240,7 @@ def cmd_rolling(args: argparse.Namespace) -> str:
     watch = _parse_watch(args.watch) if args.watch else None
     step = args.step if args.step is not None else args.window
     rolling = rolling_analysis(
-        pair.a, pair.b, args.h, _scheme(args), args.window, step, watch
+        pair.a, pair.b, args.h, _scheme(args), args.window, step, watch, args.epsilon
     )
     if args.format == "json":
         return json.dumps(

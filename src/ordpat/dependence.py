@@ -38,11 +38,9 @@ from .patterns import (
     OrdinalPattern,
     PatternSequence,
     WindowScheme,
-    _rank_rows,
     lex_rank,
     pattern_sequence,
     rank_to_pattern,
-    reflect,
 )
 
 #: Patterns tracked by default in rolling reports at h=3.
@@ -145,11 +143,8 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
     """Count every pattern occurrence in a sequence."""
     if len(seq) == 0:
         raise EmptySequence("cannot build a distribution from zero windows")
-    ranks = _rank_rows(seq.rows)
-    uniq, cnt = np.unique(ranks, return_counts=True)
-    counts = {
-        rank_to_pattern(int(r), seq.order): int(c) for r, c in zip(uniq, cnt)
-    }
+    uniq, cnt = np.unique(seq.ranks, return_counts=True)
+    counts = {rank_to_pattern(int(r), seq.order): int(c) for r, c in zip(uniq, cnt)}
     return PatternDistribution(seq.order, counts, len(seq))
 
 
@@ -161,23 +156,27 @@ def coincident_reflected_counts(
         raise LengthMismatch(f"{len(seq_x)} windows vs {len(seq_y)}")
     if seq_x.order != seq_y.order:
         raise OrderMismatch(f"order {seq_x.order} vs {seq_y.order}")
-    coincident = int((seq_x.rows == seq_y.rows).all(axis=1).sum())
-    reflected = int((seq_x.rows == seq_y.rows[:, ::-1]).all(axis=1).sum())
+    coincident = int(np.count_nonzero(seq_x.ranks == seq_y.ranks))
+    reflected = int(np.count_nonzero(seq_x.ranks == seq_y._reflected_ranks))
     return coincident, reflected
 
 
 def _independence_baselines(
-    dist_x: PatternDistribution, dist_y: PatternDistribution
+    h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
 ) -> tuple[float, float]:
-    # Fixed summation order (lexicographic rank ascending) for reproducibility.
-    union = sorted(set(dist_x.counts) | set(dist_y.counts), key=lex_rank)
-    base_eq = 0.0
-    base_neq = 0.0
-    for p in union:
-        fx = dist_x.freq(p)
-        base_eq += fx * dist_y.freq(p)
-        base_neq += fx * dist_y.freq(reflect(p))
-    return base_eq, base_neq
+    # Dense per-rank histograms, Y's also by the rank of each reflection. The
+    # integer cross sums are exact, so no summation order enters the result.
+    size = math.factorial(h + 1)
+    cx, cy, cy_reflected = (np.bincount(r, minlength=size) for r in (rx, ry, ry_reflected))
+    pairs = rx.size * ry.size
+    return int(cx @ cy) / pairs, int(cx @ cy_reflected) / pairs
+
+
+def _rank_vectors(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
+    # One rank per counted window, and the rank of its reflection.
+    seq = PatternSequence(dist.order, WindowScheme.SLIDING, [p.indices for p in dist.counts])
+    counts = list(dist.counts.values())
+    return np.repeat(seq.ranks, counts), np.repeat(seq._reflected_ranks, counts)
 
 
 def alpha_beta(
@@ -195,7 +194,9 @@ def alpha_beta(
         raise OrderMismatch(f"order {dist_x.order} vs {dist_y.order}")
     if not (0.0 <= p_eq <= 1.0 and 0.0 <= p_neq <= 1.0):
         raise ValueError(f"p_eq={p_eq} and p_neq={p_neq} must lie in [0, 1]")
-    base_eq, base_neq = _independence_baselines(dist_x, dist_y)
+    rx, _ = _rank_vectors(dist_x)
+    ry, ry_reflected = _rank_vectors(dist_y)
+    base_eq, base_neq = _independence_baselines(dist_x.order, rx, ry, ry_reflected)
     return p_eq - base_eq, p_neq - base_neq
 
 
@@ -206,16 +207,18 @@ def _z_score(count: int, n: int, base: float) -> Optional[float]:
     return (count - n * base) / math.sqrt(variance)
 
 
-def _pair_report(seq_x: PatternSequence, seq_y: PatternSequence) -> DependenceReport:
-    n_coincident, n_reflected = coincident_reflected_counts(seq_x, seq_y)
-    n = len(seq_x)
+def _pair_report(
+    h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
+) -> DependenceReport:
+    # Ranks of X's and Y's windows, and of Y's windows read right-to-left.
+    n = rx.size
+    n_coincident = int(np.count_nonzero(rx == ry))
+    n_reflected = int(np.count_nonzero(rx == ry_reflected))
     p_eq = n_coincident / n
     p_neq = n_reflected / n
-    dist_x = distribution(seq_x)
-    dist_y = distribution(seq_y)
-    base_eq, base_neq = _independence_baselines(dist_x, dist_y)
+    base_eq, base_neq = _independence_baselines(h, rx, ry, ry_reflected)
     return DependenceReport(
-        h=seq_x.order,
+        h=h,
         n_windows=n,
         n_coincident=n_coincident,
         n_reflected=n_reflected,
@@ -253,7 +256,15 @@ def analyze_pair(
     _check_aligned(x, y)
     seq_x = pattern_sequence(x, h, scheme, epsilon)
     seq_y = pattern_sequence(y, h, scheme, epsilon)
-    return _pair_report(seq_x, seq_y)
+    return _pair_report(h, seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks)
+
+
+def _all_window_ranks(x: TimeSeries, y: TimeSeries, h: int, epsilon: float) -> tuple:
+    # Ranks of every sliding window of X and Y, and of Y's reflections: the
+    # windows of a stretch [a, b) at stride s are the slice [a : b - h : s].
+    seq_x = pattern_sequence(x, h, WindowScheme.SLIDING, epsilon)
+    seq_y = pattern_sequence(y, h, WindowScheme.SLIDING, epsilon)
+    return seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
 
 
 def delay_scan(
@@ -273,24 +284,21 @@ def delay_scan(
     """
     _check_aligned(x, y)
     n = len(x)
-    results: list[tuple[int, DependenceReport]] = []
+    delays = [int(d) for d in delays]
     for d in delays:
-        d = int(d)
-        overlap = n - abs(d)
-        if overlap < h + 1:
+        if n - abs(d) < h + 1:
             raise DelayTooLarge(
-                f"delay {d} leaves {max(overlap, 0)} overlapping points, "
+                f"delay {d} leaves {max(n - abs(d), 0)} overlapping points, "
                 f"need >= {h + 1}"
             )
-        if d >= 0:
-            vx = x.values[: n - d]
-            vy = y.values[d:]
-        else:
-            vx = x.values[-d:]
-            vy = y.values[: n + d]
-        seq_x = pattern_sequence(vx, h, scheme, epsilon)
-        seq_y = pattern_sequence(vy, h, scheme, epsilon)
-        results.append((d, _pair_report(seq_x, seq_y)))
+    rx, ry, ry_reflected = _all_window_ranks(x, y, h, epsilon)
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    results: list[tuple[int, DependenceReport]] = []
+    for d in delays:
+        count = n - abs(d) - h  # sliding windows in the overlap
+        sx = slice(max(-d, 0), max(-d, 0) + count, stride)
+        sy = slice(max(d, 0), max(d, 0) + count, stride)
+        results.append((d, _pair_report(h, rx[sx], ry[sy], ry_reflected[sy])))
     return results
 
 
@@ -302,13 +310,16 @@ def rolling_analysis(
     window_len: int,
     step: int,
     watch: Optional[Sequence[OrdinalPattern]] = None,
+    epsilon: float = 0.0,
 ) -> RollingReport:
     """One dependence report per full window of ``window_len`` observations.
 
     Windows start at 0, step, 2*step, ...; a trailing window shorter than
     ``window_len`` is dropped so every report covers the same pattern count.
     ``watch`` patterns (default: :data:`DEFAULT_WATCH` when h is 3, none
-    otherwise) get per-window occurrence counts in each series.
+    otherwise) get per-window occurrence counts in each series. ``epsilon``
+    is the tie tolerance of :func:`pattern_sequence`, so every window's
+    report equals :func:`analyze_pair` with that ``epsilon`` on the window.
     """
     _check_aligned(x, y)
     if window_len < h + 1:
@@ -324,24 +335,24 @@ def rolling_analysis(
     for p in watch:
         if p.order != h:
             raise OrderMismatch(f"watch pattern {p} has order {p.order}, expected {h}")
+    watch_ranks = [lex_rank(p) for p in watch]
 
+    rx, ry, ry_reflected = _all_window_ranks(x, y, h, epsilon)
+    stride = 1 if scheme is WindowScheme.SLIDING else h
     windows: list[RollingWindow] = []
     for start in range(0, len(x) - window_len + 1, step):
         stop = start + window_len
-        seq_x = pattern_sequence(x.values[start:stop], h, scheme)
-        seq_y = pattern_sequence(y.values[start:stop], h, scheme)
+        s = slice(start, stop - h, stride)
+        wx, wy = rx[s], ry[s]
         watch_counts = {
-            p: (
-                int((seq_x.rows == np.asarray(p.indices)).all(axis=1).sum()),
-                int((seq_y.rows == np.asarray(p.indices)).all(axis=1).sum()),
-            )
-            for p in watch
+            p: (int(np.count_nonzero(wx == r)), int(np.count_nonzero(wy == r)))
+            for p, r in zip(watch, watch_ranks)
         }
         windows.append(
             RollingWindow(
                 start_key=x.keys[start],
                 end_key=x.keys[stop - 1],
-                report=_pair_report(seq_x, seq_y),
+                report=_pair_report(h, wx, wy, ry_reflected[s]),
                 watch_counts=watch_counts,
             )
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -78,34 +79,12 @@ def extract_pattern(window: Sequence[float], epsilon: float = 0.0) -> OrdinalPat
     >>> str(extract_pattern((5.0, 5.0, 1.0)))
     '(0,1,2)'
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     values = np.asarray(window, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise WindowTooShort(f"window must hold >= 2 values, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"window contains NaN or infinity: {values.tolist()}")
-    order = sorted(range(values.size), key=lambda i: (-values[i], i))
-    if epsilon > 0.0:
-        order = _regroup_epsilon_ties(values, order, epsilon)
-    return OrdinalPattern(tuple(order))
-
-
-def _regroup_epsilon_ties(
-    values: np.ndarray, order: list[int], epsilon: float
-) -> list[int]:
-    # Chain descending-sorted values into tie groups (gap <= epsilon joins the
-    # group) and list each group's indices in ascending order.
-    regrouped: list[int] = []
-    group = [order[0]]
-    for prev, cur in zip(order, order[1:]):
-        if values[prev] - values[cur] <= epsilon:
-            group.append(cur)
-        else:
-            regrouped.extend(sorted(group))
-            group = [cur]
-    regrouped.extend(sorted(group))
-    return regrouped
+    return OrdinalPattern(tuple(_descending_argsort(values[None], epsilon)[0].tolist()))
 
 
 def reflect(pattern: OrdinalPattern) -> OrdinalPattern:
@@ -134,10 +113,8 @@ def rank_to_pattern(rank: int, h: int) -> OrdinalPattern:
         raise RankOutOfRange(f"rank {rank} outside [0, {size - 1}] for order h={h}")
     available = list(range(h + 1))
     indices: list[int] = []
-    remainder = rank
-    for j in range(h + 1):
-        f = math.factorial(h - j)
-        digit, remainder = divmod(remainder, f)
+    for j in range(h, -1, -1):
+        digit, rank = divmod(rank, math.factorial(j))
         indices.append(available.pop(digit))
     return OrdinalPattern(tuple(indices))
 
@@ -164,6 +141,19 @@ class PatternSequence:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Read-only :func:`lex_rank` of every row, computed once on first use.
+
+        All pattern counting and comparison works on these integers.
+        """
+        return _rank_rows(self.rows)
+
+    @cached_property
+    def _reflected_ranks(self) -> np.ndarray:
+        # Ranks of the rows read right-to-left, i.e. of the reflected patterns.
+        return _rank_rows(self.rows[:, ::-1])
+
     def __len__(self) -> int:
         return self.rows.shape[0]
 
@@ -178,17 +168,21 @@ class PatternSequence:
         return tuple(self)
 
 
-def _window_starts(n: int, h: int, scheme: WindowScheme) -> np.ndarray:
-    if scheme is WindowScheme.SLIDING:
-        return np.arange(n - h)
-    # Block windows start at 0, h, 2h, ...; consecutive blocks share one point.
-    return np.arange(0, n - h, h)
-
-
-def _descending_argsort(windows: np.ndarray) -> np.ndarray:
-    # Stable sort on the negated values = descending by value with equal
-    # values kept in index order, which is exactly the tie rule.
-    return np.argsort(-windows, axis=-1, kind="stable")
+def _descending_argsort(windows: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
+    # Pattern rows of a stack of windows along the last axis. A stable sort on
+    # the negated values keeps equal values in index order (the tie rule); with
+    # epsilon > 0, sorted neighbours at most epsilon apart chain into one group
+    # and each group is relisted by index.
+    if not epsilon >= 0.0:  # false for NaN as well
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    order = np.argsort(-windows, axis=-1, kind="stable")
+    if epsilon > 0.0:
+        ranked = np.take_along_axis(windows, order, axis=-1)
+        steps = np.diff(ranked, axis=-1, prepend=ranked[..., :1])  # <= 0; the first is 0
+        group = np.cumsum(steps < -epsilon, axis=-1)
+        width = order.shape[-1]
+        order = np.sort(group * width + order, axis=-1) % width
+    return order
 
 
 def pattern_sequence(
@@ -205,8 +199,6 @@ def pattern_sequence(
     """
     if h < 1:
         raise ValueError(f"order h must be >= 1, got {h}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if isinstance(series, TimeSeries):
         values = series.values
     else:
@@ -215,25 +207,20 @@ def pattern_sequence(
             raise ValueError("series must be one-dimensional")
         if not np.isfinite(values).all():
             raise NonFiniteValue("series contains NaN or infinity")
-    n = values.size
-    if n < h + 1:
-        raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {n}")
-    starts = _window_starts(n, h, scheme)
-    windows = values[starts[:, None] + np.arange(h + 1)]
-    if epsilon > 0.0:
-        rows = np.array(
-            [extract_pattern(w, epsilon).indices for w in windows], dtype=np.int16
-        )
-    else:
-        rows = _descending_argsort(windows).astype(np.int16)
-    return PatternSequence(h, scheme, rows)
+    if values.size < h + 1:
+        raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {values.size}")
+    # Block windows start at 0, h, 2h, ...; consecutive blocks share one point.
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    windows = values[np.arange(0, values.size - h, stride)[:, None] + np.arange(h + 1)]
+    return PatternSequence(h, scheme, _descending_argsort(windows, epsilon).astype(np.int16))
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`lex_rank` over the rows of a pattern matrix."""
+    """Vectorized :func:`lex_rank` over the rows of a pattern matrix (read-only)."""
     n_cols = rows.shape[1]
     ranks = np.zeros(rows.shape[0], dtype=np.int64)
     for j in range(n_cols - 1):
         smaller_after = (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
-        ranks += smaller_after.astype(np.int64) * math.factorial(n_cols - 1 - j)
+        ranks += smaller_after * math.factorial(n_cols - 1 - j)
+    ranks.setflags(write=False)
     return ranks

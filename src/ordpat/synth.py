@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidRho, NotAligned, TooManyOutliers
 from .ingest import TimeSeries
@@ -87,10 +87,15 @@ def correlated_ar1_pair(cfg: Ar1Config) -> tuple[TimeSeries, TimeSeries]:
     z = gen.standard_normal(cfg.n)
     z_extra = gen.standard_normal(cfg.n)
     w = cfg.rho * z + math.sqrt(1.0 - cfg.rho * cfg.rho) * z_extra
-    x = lfilter([1.0], [1.0, -cfg.phi], z)
-    y = lfilter([1.0], [1.0, -cfg.phi], w)
+    x = _ar1_recursion(z, cfg.phi)
+    y = _ar1_recursion(w, cfg.phi)
     keys = _integer_keys(cfg.n)
     return TimeSeries(keys, x, "ar1_x"), TimeSeries(keys, y, "ar1_y")
+
+
+def _ar1_recursion(noise: np.ndarray, phi: float) -> np.ndarray:
+    # out[t] = noise[t] + phi * out[t-1] from zero state, one float step at a time.
+    return np.fromiter(accumulate(noise.tolist(), lambda o, z: z + phi * o), float, noise.size)
 
 
 def inject_outliers(

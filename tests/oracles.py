@@ -6,17 +6,36 @@ independent of the library's vectorized code paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 
-def sort_pattern(window: Sequence[float]) -> tuple[int, ...]:
-    """Positions sorted by descending value, equal values earlier-index-first."""
-    return tuple(sorted(range(len(window)), key=lambda i: (-window[i], i)))
+def sort_pattern(window: Sequence[float], epsilon: float = 0.0) -> tuple[int, ...]:
+    """Positions sorted by descending value, equal values earlier-index-first.
+
+    With ``epsilon > 0``, neighbours in that order at most ``epsilon`` apart
+    are chained into one tie group, and each group is listed by index.
+    """
+    order = sorted(range(len(window)), key=lambda i: (-window[i], i))
+    if epsilon == 0.0:
+        return tuple(order)
+    groups = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if window[prev] - window[cur] <= epsilon:
+            groups[-1].append(cur)
+        else:
+            groups.append([cur])
+    return tuple(i for group in groups for i in sorted(group))
 
 
-def pattern_list(values: Sequence[float], h: int) -> list[tuple[int, ...]]:
-    """Sliding-window pattern sequence via :func:`sort_pattern`."""
-    return [sort_pattern(values[i : i + h + 1]) for i in range(len(values) - h)]
+def pattern_list(
+    values: Sequence[float], h: int, epsilon: float = 0.0, stride: int = 1
+) -> list[tuple[int, ...]]:
+    """Pattern sequence via :func:`sort_pattern`; stride 1 slides, stride h blocks."""
+    return [
+        sort_pattern(values[i : i + h + 1], epsilon)
+        for i in range(0, len(values) - h, stride)
+    ]
 
 
 def pair_counts(
@@ -28,6 +47,23 @@ def pair_counts(
     coincident = sum(1 for a, b in zip(px, py) if a == b)
     reflected = sum(1 for a, b in zip(px, py) if a == tuple(reversed(b)))
     return coincident, reflected
+
+
+def pair_report(
+    xs: Sequence[float], ys: Sequence[float], h: int, epsilon: float = 0.0, stride: int = 1
+) -> dict:
+    """Window count, coincident/reflected counts and independence baselines."""
+    px = pattern_list(xs, h, epsilon, stride)
+    py = pattern_list(ys, h, epsilon, stride)
+    n = len(px)
+    fx, fy = Counter(px), Counter(py)
+    return {
+        "n_windows": n,
+        "n_coincident": sum(1 for a, b in zip(px, py) if a == b),
+        "n_reflected": sum(1 for a, b in zip(px, py) if a == tuple(reversed(b))),
+        "base_eq": sum(fx[p] / n * fy[p] / n for p in fx),
+        "base_neq": sum(fx[p] / n * fy[tuple(reversed(p))] / n for p in fx),
+    }
 
 
 def three_point_pattern_from_increments(d1: float, d2: float) -> tuple[int, ...]:

@@ -366,3 +366,41 @@ def test_cli_runs_as_module_subprocess(fixtures_dir):
     )
     assert code == 0, err
     assert b"beta_tilde" in out
+
+
+def test_nan_epsilon_is_single_line_error(fixtures_dir):
+    code, out, err = run_cli(
+        "analyze", "--x", fixtures_dir / "golden_x.csv",
+        "--y", fixtures_dir / "golden_y.csv", "--h", 3, "--epsilon", "nan",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ordpat: error: ValueError:")
+
+
+def test_rolling_epsilon_takes_effect(fixtures_dir):
+    gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
+    args = ("rolling", "--x", gx, "--y", gy, "--h", 3, "--window", 60)
+    code, plain, _ = run_cli(*args)
+    assert code == 0
+    code, tied, _ = run_cli(*args, "--epsilon", 5)
+    assert code == 0
+    assert tied != plain
+    x = read_csv(gx, "key", "value")
+    y = read_csv(gy, "key", "value")
+    rows = tied.strip().split("\n")[1:]
+    assert len(rows) == len(x) // 60
+    for i, row in enumerate(rows):
+        part = slice(60 * i, 60 * (i + 1))
+        rep = analyze_pair(
+            TimeSeries(x.keys[part], x.values[part]),
+            TimeSeries(y.keys[part], y.values[part]),
+            3,
+            epsilon=5.0,
+        )
+        cells = row.split("\t")
+        assert cells[2:7] == [
+            str(rep.n_windows), str(rep.n_coincident), str(rep.n_reflected),
+            f"{rep.alpha_tilde:.6f}", f"{rep.beta_tilde:.6f}",
+        ]

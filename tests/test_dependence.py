@@ -31,7 +31,8 @@ from ordpat import (
     reflect,
     rolling_analysis,
 )
-from oracles import pair_counts
+from oracles import pair_counts, pattern_list
+from oracles import pair_report as oracle_pair_report
 
 def series(values, name="s"):
     values = np.asarray(values, dtype=float)
@@ -401,3 +402,75 @@ def test_pair_counts_match_oracle_on_small_alphabet(xs, ys):
     assert (rep.n_coincident, rep.n_reflected) == pair_counts(xs, ys, 2)
     assert 0.0 <= rep.base_eq <= 1.0 and 0.0 <= rep.base_neq <= 1.0
     assert -1.0 <= rep.alpha_tilde <= 1.0 and -1.0 <= rep.beta_tilde <= 1.0
+
+
+# --- delay/rolling slicing against a per-slice brute force ----------------------------------
+
+_RNG = np.random.default_rng(123)
+ORACLE_DATA = {
+    "walk": np.cumsum(_RNG.standard_normal((2, 40)), axis=1),
+    # half-unit grid with frequent exact ties and neighbours 0.5 apart
+    "halves": np.cumsum(_RNG.integers(-2, 3, size=(2, 40)), axis=1) / 2.0,
+}
+ORACLE_CASES = [("walk", 0.0), ("halves", 0.0), ("halves", 0.25), ("halves", 0.5)]
+
+
+def _assert_matches_oracle(rep, want):
+    got = (rep.n_windows, rep.n_coincident, rep.n_reflected)
+    assert got == (want["n_windows"], want["n_coincident"], want["n_reflected"])
+    assert abs(rep.base_eq - want["base_eq"]) <= 1e-12
+    assert abs(rep.base_neq - want["base_neq"]) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [1, 2, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("data, epsilon", ORACLE_CASES)
+def test_delay_scan_matches_per_slice_oracle(h, scheme, data, epsilon):
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    for n in (h + 1, 30):
+        xs, ys = ORACLE_DATA[data][:, :n]
+        delays = range(-(n - h - 1), n - h)  # every delay with h + 1 overlapping points
+        scan = delay_scan(series(xs), series(ys), h, scheme, delays, epsilon)
+        assert [d for d, _ in scan] == list(delays)
+        for d, rep in scan:
+            vx, vy = (xs[: n - d], ys[d:]) if d >= 0 else (xs[-d:], ys[: n + d])
+            _assert_matches_oracle(rep, oracle_pair_report(vx, vy, h, epsilon, stride))
+
+
+@pytest.mark.parametrize("h", [1, 2, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("data, epsilon", ORACLE_CASES)
+def test_rolling_analysis_matches_per_slice_oracle(h, scheme, data, epsilon):
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    watch = (OrdinalPattern(tuple(range(h + 1))), OrdinalPattern(tuple(range(h, -1, -1))))
+    for n, window_len in ((h + 1, h + 1), (40, h + 1), (40, h + 12)):
+        xs, ys = ORACLE_DATA[data][:, :n]
+        for step in (1, 3, window_len):
+            rolling = rolling_analysis(
+                series(xs), series(ys), h, scheme, window_len, step, watch, epsilon
+            )
+            starts = range(0, n - window_len + 1, step)
+            assert len(rolling) == len(starts)
+            for w, start in zip(rolling, starts):
+                vx, vy = xs[start : start + window_len], ys[start : start + window_len]
+                assert (w.start_key, w.end_key) == (str(start), str(start + window_len - 1))
+                _assert_matches_oracle(
+                    w.report, oracle_pair_report(vx, vy, h, epsilon, stride)
+                )
+                px = pattern_list(vx, h, epsilon, stride)
+                py = pattern_list(vy, h, epsilon, stride)
+                assert w.watch_counts == {
+                    p: (px.count(p.indices), py.count(p.indices)) for p in watch
+                }
+
+
+def test_nan_or_negative_epsilon_is_rejected_everywhere():
+    x = random_series(20, 50)
+    y = random_series(20, 51)
+    for epsilon in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            analyze_pair(x, y, 2, epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            delay_scan(x, y, 2, WindowScheme.SLIDING, [0, 1], epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            rolling_analysis(x, y, 2, WindowScheme.SLIDING, 10, 10, epsilon=epsilon)

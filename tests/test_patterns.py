@@ -19,7 +19,7 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
-from oracles import sort_pattern, three_point_pattern_from_increments
+from oracles import pattern_list, sort_pattern, three_point_pattern_from_increments
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -252,3 +252,28 @@ def test_epsilon_sequence_matches_scalar_path(values, epsilon):
     for i in range(len(values) - 3):
         expected = extract_pattern(values[i : i + 4], epsilon=epsilon)
         assert tuple(int(v) for v in seq.rows[i]) == expected.indices
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(-6, 6), min_size=2, max_size=14),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+    st.integers(1, 4),
+)
+def test_epsilon_kernel_matches_chaining_oracle(halves, epsilon, h):
+    # Half-unit values: exact ties plus chains of neighbours 0.5 apart.
+    values = [v / 2.0 for v in halves]
+    assert extract_pattern(values, epsilon).indices == sort_pattern(values, epsilon)
+    if len(values) > h:
+        for scheme, stride in ((WindowScheme.SLIDING, 1), (WindowScheme.BLOCK, h)):
+            seq = pattern_sequence(values, h, scheme, epsilon)
+            rows = [tuple(int(v) for v in r) for r in seq.rows]
+            assert rows == pattern_list(values, h, epsilon, stride)
+
+
+def test_nan_or_negative_epsilon_is_rejected():
+    for epsilon in (float("nan"), -0.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            extract_pattern((1.0, 2.0, 3.0), epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            pattern_sequence([1.0, 2.0, 3.0, 4.0], 2, epsilon=epsilon)
