@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -24,11 +25,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .dependence import (
     DependenceReport,
     analyze_pair,
     delay_scan,
-    distribution,
     increment_correlation,
     rolling_analysis,
 )
@@ -37,8 +39,8 @@ from .ingest import AlignResult, TimeSeries, align, read_csv
 from .patterns import (
     OrdinalPattern,
     WindowScheme,
+    pattern_label,
     pattern_sequence,
-    rank_to_pattern,
 )
 from .synth import Ar1Config, OutlierConfig, correlated_ar1_pair, gaussian_walk_pair, inject_outliers
 
@@ -140,30 +142,31 @@ def cmd_dist(args: argparse.Namespace) -> str:
     _check_order(args.h)
     series = read_csv(args.x, args.key, args.value)
     seq = pattern_sequence(series, args.h, _scheme(args), args.epsilon)
-    dist = distribution(seq)
+    total = len(seq)
+    counts = np.bincount(seq.ranks, minlength=math.factorial(args.h + 1)).tolist()
 
-    table_rows = []
-    json_rows = []
-    for rank in range(math.factorial(args.h + 1)):
-        pattern = rank_to_pattern(rank, args.h)
-        count = dist.counts.get(pattern, 0)
-        freq = count / dist.total
-        table_rows.append([str(pattern), str(count), _f6(freq)])
-        json_rows.append(
-            {"pattern": list(pattern.indices), "count": count, "freq": freq}
-        )
+    # permutations() yields the patterns in lexicographic rank order.
+    rows = zip(itertools.permutations(range(args.h + 1)), counts)
     if args.format == "json":
+        json_rows = [
+            {"pattern": list(indices), "count": count, "freq": count / total}
+            for indices, count in rows
+        ]
         return json.dumps(
             {
                 "command": "dist",
                 "h": args.h,
                 "scheme": _scheme(args).value,
-                "total": dist.total,
+                "total": total,
                 "rows": json_rows,
             },
             indent=2,
         )
-    table_rows.append(["total", str(dist.total), _f6(dist.total / dist.total)])
+    table_rows = [
+        [pattern_label(indices), str(count), _f6(count / total)]
+        for indices, count in rows
+    ]
+    table_rows.append(["total", str(total), _f6(total / total)])
     return _render_table(["pattern", "count", "freq"], table_rows, args.format)
 
 

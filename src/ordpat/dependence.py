@@ -40,7 +40,7 @@ from .patterns import (
     WindowScheme,
     lex_rank,
     pattern_sequence,
-    rank_to_pattern,
+    stretch_sequence,
 )
 
 #: Patterns tracked by default in rolling reports at h=3.
@@ -143,8 +143,9 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
     """Count every pattern occurrence in a sequence."""
     if len(seq) == 0:
         raise EmptySequence("cannot build a distribution from zero windows")
-    uniq, cnt = np.unique(seq.ranks, return_counts=True)
-    counts = {rank_to_pattern(int(r), seq.order): int(c) for r, c in zip(uniq, cnt)}
+    _, first, cnt = np.unique(seq.ranks, return_index=True, return_counts=True)
+    rows = seq.rows[first].tolist()  # each distinct pattern's first occurrence
+    counts = {OrdinalPattern(tuple(row)): c for row, c in zip(rows, cnt.tolist())}
     return PatternDistribution(seq.order, counts, len(seq))
 
 
@@ -161,15 +162,14 @@ def coincident_reflected_counts(
     return coincident, reflected
 
 
-def _independence_baselines(
+def _cross_sums(
     h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
-) -> tuple[float, float]:
-    # Dense per-rank histograms, Y's also by the rank of each reflection. The
-    # integer cross sums are exact, so no summation order enters the result.
+) -> tuple[int, int]:
+    # Sum of cX*cY and of cX*cY(reflected) over dense per-rank histograms. The
+    # integer sums are exact, so no summation order enters the baselines.
     size = math.factorial(h + 1)
     cx, cy, cy_reflected = (np.bincount(r, minlength=size) for r in (rx, ry, ry_reflected))
-    pairs = rx.size * ry.size
-    return int(cx @ cy) / pairs, int(cx @ cy_reflected) / pairs
+    return int(cx @ cy), int(cx @ cy_reflected)
 
 
 def _rank_vectors(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +196,9 @@ def alpha_beta(
         raise ValueError(f"p_eq={p_eq} and p_neq={p_neq} must lie in [0, 1]")
     rx, _ = _rank_vectors(dist_x)
     ry, ry_reflected = _rank_vectors(dist_y)
-    base_eq, base_neq = _independence_baselines(dist_x.order, rx, ry, ry_reflected)
-    return p_eq - base_eq, p_neq - base_neq
+    cross_eq, cross_neq = _cross_sums(dist_x.order, rx, ry, ry_reflected)
+    pairs = dist_x.total * dist_y.total
+    return p_eq - cross_eq / pairs, p_neq - cross_neq / pairs
 
 
 def _z_score(count: int, n: int, base: float) -> Optional[float]:
@@ -211,12 +212,23 @@ def _pair_report(
     h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
 ) -> DependenceReport:
     # Ranks of X's and Y's windows, and of Y's windows read right-to-left.
-    n = rx.size
-    n_coincident = int(np.count_nonzero(rx == ry))
-    n_reflected = int(np.count_nonzero(rx == ry_reflected))
+    return _report(
+        h,
+        rx.size,
+        int(np.count_nonzero(rx == ry)),
+        int(np.count_nonzero(rx == ry_reflected)),
+        *_cross_sums(h, rx, ry, ry_reflected),
+    )
+
+
+def _report(
+    h: int, n: int, n_coincident: int, n_reflected: int, cross_eq: int, cross_neq: int
+) -> DependenceReport:
+    # Python ints in, so each baseline is one correctly rounded division.
     p_eq = n_coincident / n
     p_neq = n_reflected / n
-    base_eq, base_neq = _independence_baselines(h, rx, ry, ry_reflected)
+    base_eq = cross_eq / (n * n)
+    base_neq = cross_neq / (n * n)
     return DependenceReport(
         h=h,
         n_windows=n,
@@ -259,14 +271,6 @@ def analyze_pair(
     return _pair_report(h, seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks)
 
 
-def _all_window_ranks(x: TimeSeries, y: TimeSeries, h: int, epsilon: float) -> tuple:
-    # Ranks of every sliding window of X and Y, and of Y's reflections: the
-    # windows of a stretch [a, b) at stride s are the slice [a : b - h : s].
-    seq_x = pattern_sequence(x, h, WindowScheme.SLIDING, epsilon)
-    seq_y = pattern_sequence(y, h, WindowScheme.SLIDING, epsilon)
-    return seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
-
-
 def delay_scan(
     x: TimeSeries,
     y: TimeSeries,
@@ -291,15 +295,17 @@ def delay_scan(
                 f"delay {d} leaves {max(n - abs(d), 0)} overlapping points, "
                 f"need >= {h + 1}"
             )
-    rx, ry, ry_reflected = _all_window_ranks(x, y, h, epsilon)
-    stride = 1 if scheme is WindowScheme.SLIDING else h
-    results: list[tuple[int, DependenceReport]] = []
-    for d in delays:
-        count = n - abs(d) - h  # sliding windows in the overlap
-        sx = slice(max(-d, 0), max(-d, 0) + count, stride)
-        sy = slice(max(d, 0), max(d, 0) + count, stride)
-        results.append((d, _pair_report(h, rx[sx], ry[sy], ry_reflected[sy])))
-    return results
+    d = np.array(delays, dtype=np.int64)
+    overlap = n - np.abs(d)
+    # The overlap starts at point max(-d, 0) of X and max(d, 0) of Y; each
+    # side is one contiguous run of its sequence.
+    seq_x, x_lo, count = stretch_sequence(x, h, scheme, np.maximum(-d, 0), overlap, epsilon)
+    seq_y, y_lo, _ = stretch_sequence(y, h, scheme, np.maximum(d, 0), overlap, epsilon)
+    rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
+    return [
+        (delay, _pair_report(h, rx[a : a + k], ry[b : b + k], ry_reflected[b : b + k]))
+        for delay, a, b, k in zip(delays, x_lo.tolist(), y_lo.tolist(), count.tolist())
+    ]
 
 
 def rolling_analysis(
@@ -335,25 +341,31 @@ def rolling_analysis(
     for p in watch:
         if p.order != h:
             raise OrderMismatch(f"watch pattern {p} has order {p.order}, expected {h}")
-    watch_ranks = [lex_rank(p) for p in watch]
 
-    rx, ry, ry_reflected = _all_window_ranks(x, y, h, epsilon)
-    stride = 1 if scheme is WindowScheme.SLIDING else h
+    starts = np.arange(0, len(x) - window_len + 1, step)
+    seq_x, lo, k = stretch_sequence(x, h, scheme, starts, window_len, epsilon)
+    seq_y, _, _ = stretch_sequence(y, h, scheme, starts, window_len, epsilon)
+    rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
+    # Running totals of matching windows and of watched ranks in X and in Y;
+    # each window's counts are differences of two totals.
+    watch_ranks = np.array([lex_rank(p) for p in watch], dtype=np.int64)[:, None]
+    hits = np.vstack((rx == ry, rx == ry_reflected, rx == watch_ranks, ry == watch_ranks))
+    totals = np.zeros((hits.shape[0], rx.size + 1), dtype=np.int64)
+    np.cumsum(hits, axis=1, out=totals[:, 1:])
+    m = len(watch)
     windows: list[RollingWindow] = []
-    for start in range(0, len(x) - window_len + 1, step):
-        stop = start + window_len
-        s = slice(start, stop - h, stride)
-        wx, wy = rx[s], ry[s]
-        watch_counts = {
-            p: (int(np.count_nonzero(wx == r)), int(np.count_nonzero(wy == r)))
-            for p, r in zip(watch, watch_ranks)
-        }
+    for start, a, (n_coincident, n_reflected, *watched) in zip(
+        starts.tolist(), lo.tolist(), (totals[:, lo + k] - totals[:, lo]).T.tolist()
+    ):
+        wx, wy, wy_reflected = rx[a : a + k], ry[a : a + k], ry_reflected[a : a + k]
         windows.append(
             RollingWindow(
                 start_key=x.keys[start],
-                end_key=x.keys[stop - 1],
-                report=_pair_report(h, wx, wy, ry_reflected[s]),
-                watch_counts=watch_counts,
+                end_key=x.keys[start + window_len - 1],
+                report=_report(
+                    h, k, n_coincident, n_reflected, *_cross_sums(h, wx, wy, wy_reflected)
+                ),
+                watch_counts=dict(zip(watch, zip(watched[:m], watched[m:]))),
             )
         )
     return RollingReport(tuple(windows))

@@ -91,7 +91,7 @@ def read_csv(
     scientific notation); keys must be unique.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -64,7 +64,12 @@ class OrdinalPattern:
         return iter(self.indices)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(i) for i in self.indices) + ")"
+        return pattern_label(self.indices)
+
+
+def pattern_label(indices: Sequence[int]) -> str:
+    """Text form of a pattern's index tuple, e.g. ``(3,1,2,0)``."""
+    return "(" + ",".join(map(str, indices)) + ")"
 
 
 def extract_pattern(window: Sequence[float], epsilon: float = 0.0) -> OrdinalPattern:
@@ -124,8 +129,10 @@ class PatternSequence:
     """The ordered patterns extracted from one series under a window scheme.
 
     ``rows`` is an (n_windows, order+1) integer matrix; row i is the index
-    tuple of window i. The matrix form keeps large scans cheap; use
-    :meth:`patterns` or indexing for :class:`OrdinalPattern` objects.
+    tuple of window i. It is stored column-major (a read-only view of the
+    contiguous (order+1, n_windows) transpose), so ranking walks contiguous
+    columns; use :meth:`patterns` or indexing for :class:`OrdinalPattern`
+    objects.
     """
 
     order: int
@@ -133,7 +140,7 @@ class PatternSequence:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows)
+        rows = np.asfortranarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != self.order + 1:
             raise ValueError(
                 f"rows must be (n, {self.order + 1}), got shape {rows.shape}"
@@ -151,7 +158,8 @@ class PatternSequence:
 
     @cached_property
     def _reflected_ranks(self) -> np.ndarray:
-        # Ranks of the rows read right-to-left, i.e. of the reflected patterns.
+        # Ranks of the rows read right-to-left, i.e. of the reflected patterns;
+        # the reversed rows are a view, their columns in reverse order.
         return _rank_rows(self.rows[:, ::-1])
 
     def __len__(self) -> int:
@@ -197,8 +205,7 @@ def pattern_sequence(
     of finite floats. SLIDING yields ``N - h`` patterns, BLOCK yields
     ``floor((N - 1) / h)``.
     """
-    if h < 1:
-        raise ValueError(f"order h must be >= 1, got {h}")
+    stride = _stride(h, scheme)
     if isinstance(series, TimeSeries):
         values = series.values
     else:
@@ -209,18 +216,63 @@ def pattern_sequence(
             raise NonFiniteValue("series contains NaN or infinity")
     if values.size < h + 1:
         raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {values.size}")
-    # Block windows start at 0, h, 2h, ...; consecutive blocks share one point.
-    stride = 1 if scheme is WindowScheme.SLIDING else h
     windows = values[np.arange(0, values.size - h, stride)[:, None] + np.arange(h + 1)]
-    return PatternSequence(h, scheme, _descending_argsort(windows, epsilon).astype(np.int16))
+    cols = np.ascontiguousarray(_descending_argsort(windows, epsilon).T, dtype=np.int16)
+    return PatternSequence(h, scheme, cols.T)
+
+
+def _stride(h: int, scheme: WindowScheme) -> int:
+    # Block windows start at 0, h, 2h, ...; consecutive blocks share one point.
+    if h < 1:
+        raise ValueError(f"order h must be >= 1, got {h}")
+    return 1 if scheme is WindowScheme.SLIDING else h
+
+
+def stretch_sequence(
+    series: TimeSeries,
+    h: int,
+    scheme: WindowScheme,
+    starts: np.ndarray,
+    lengths: Union[int, np.ndarray],
+    epsilon: float = 0.0,
+) -> tuple[PatternSequence, np.ndarray, Union[int, np.ndarray]]:
+    """Patterns of the stretches ``series[starts[i] : starts[i] + lengths[i]]``.
+
+    Returns ``(seq, lo, count)``: the windows of stretch i are rows
+    ``lo[i] : lo[i] + count[i]`` of ``seq``. Each phase ``p = start % stride``
+    in use (SLIDING has only phase 0) is extracted once, as
+    ``pattern_sequence(values[p:], h, scheme, epsilon)``; the phases are
+    joined in order, so the window starting at point s is row
+    ``offset[s % stride] + s // stride``.
+    """
+    stride = _stride(h, scheme)
+    starts = np.asarray(starts, dtype=np.int64)
+    # Not np.unique: under numpy 2.4 its plain form imports numpy.ma, which
+    # adds about 10 ms to a CLI call. With no stretch, phase 0 still checks
+    # the series.
+    phases = sorted(set((starts % stride).tolist())) or [0]
+    offset = np.zeros(stride, dtype=np.int64)
+    seqs: list[PatternSequence] = []
+    for p in phases:
+        offset[p] = sum(len(seq) for seq in seqs)
+        seqs.append(pattern_sequence(series.values[p:], h, scheme, epsilon))
+    if len(seqs) > 1:
+        cols = np.concatenate([seq.rows.T for seq in seqs], axis=1)
+        seqs = [PatternSequence(h, scheme, cols.T)]
+    count = (lengths - h - 1) // stride + 1
+    return seqs[0], offset[starts % stride] + starts // stride, count
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`lex_rank` over the rows of a pattern matrix (read-only)."""
-    n_cols = rows.shape[1]
-    ranks = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(n_cols - 1):
-        smaller_after = (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
-        ranks += smaller_after * math.factorial(n_cols - 1 - j)
+    """Vectorized :func:`lex_rank` over the rows of a pattern matrix (read-only).
+
+    Works column by column: ``cols[j]`` is position j of every pattern, so
+    each step compares contiguous columns when ``rows`` is column-major.
+    """
+    cols = rows.T
+    width = cols.shape[0]
+    ranks = np.zeros(cols.shape[1], dtype=np.int64)
+    for j in range(width - 1):
+        ranks += (cols[j + 1 :] < cols[j]).sum(axis=0) * math.factorial(width - 1 - j)
     ranks.setflags(write=False)
     return ranks

@@ -474,3 +474,50 @@ def test_nan_or_negative_epsilon_is_rejected_everywhere():
             delay_scan(x, y, 2, WindowScheme.SLIDING, [0, 1], epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             rolling_analysis(x, y, 2, WindowScheme.SLIDING, 10, 10, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme):
+    # Sliding: each series once. Block: each series once per phase in use.
+    import ordpat.dependence as dependence
+    import ordpat.patterns as patterns
+
+    extracted = []
+
+    def counting(*args, **kwargs):
+        seq = pattern_sequence(*args, **kwargs)
+        extracted.append(len(seq))
+        return seq
+
+    monkeypatch.setattr(dependence, "pattern_sequence", counting)
+    monkeypatch.setattr(patterns, "pattern_sequence", counting)
+    n, h = 200, 3
+    x, y = random_series(n, 60), random_series(n, 61)
+    delays, starts = range(-10, 11), range(0, n - 50 + 1, 7)
+    calls = [  # (call, first points read in X, first points read in Y)
+        (lambda: delay_scan(x, y, h, scheme, delays), [max(-d, 0) for d in delays],
+         [max(d, 0) for d in delays]),
+        (lambda: delay_scan(x, y, h, scheme, [0, h, -2 * h]), [0, 2 * h], [0, h]),
+        (lambda: rolling_analysis(x, y, h, scheme, 50, 7), starts, starts),
+        (lambda: rolling_analysis(x, y, h, scheme, 50, h), [0], [0]),
+    ]
+    for call, x_points, y_points in calls:
+        extracted.clear()
+        call()
+        if scheme is WindowScheme.SLIDING:
+            assert sum(extracted) <= 2 * (n - h)
+        else:
+            phases = len({p % h for p in x_points}) + len({p % h for p in y_points})
+            assert sum(extracted) <= (n - 1) // h * phases
+
+
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delay_and_rolling_reject_order_below_one(scheme):
+    x, y = random_series(40, 62), random_series(40, 63)
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="order h must be >= 1"):
+            delay_scan(x, y, h, scheme, [0, 2])
+        with pytest.raises(ValueError, match="order h must be >= 1"):
+            delay_scan(x, y, h, scheme, [])
+        with pytest.raises(ValueError, match="order h must be >= 1"):
+            rolling_analysis(x, y, h, scheme, 10, 5)

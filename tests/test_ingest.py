@@ -34,6 +34,14 @@ def test_read_csv_crlf_and_quotes(tmp_path):
     assert len(ts) == 2
 
 
+def test_read_csv_utf8_bom_and_crlf(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"\xef\xbb\xbfkey,value\r\nd1,1.5\r\nd2,2.5\r\n")
+    ts = read_csv(p, "key", "value")
+    assert ts.keys == ("d1", "d2")
+    assert ts.values.tolist() == [1.5, 2.5]
+
+
 def test_read_csv_selects_column(tmp_path):
     p = _write(tmp_path / "a.csv", "date,open,close\nd1,1,10\nd2,2,20\n")
     assert read_csv(p, "date", "open").values.tolist() == [1.0, 2.0]

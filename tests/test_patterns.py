@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ordpat import (
     NonFiniteValue,
     OrdinalPattern,
+    PatternSequence,
     RankOutOfRange,
     SeriesTooShort,
     WindowScheme,
@@ -177,6 +178,26 @@ def test_rank_bijection_exhaustive():
             assert lex_rank(p) == rank
             seen.add(p.indices)
         assert len(seen) == math.factorial(h + 1)
+
+
+def _rank_kernel_cases():
+    # Every permutation for h 1..7, a seeded sample of 5,000 at h=8.
+    for h in range(1, 8):
+        yield h, np.array(list(itertools.permutations(range(h + 1))), dtype=np.int16)
+    rng = np.random.default_rng(8)
+    yield 8, np.argsort(rng.random((5000, 9)), axis=1).astype(np.int16)
+
+
+def test_rank_kernel_matches_lex_rank():
+    for h, rows in _rank_kernel_cases():
+        patterns = [OrdinalPattern(tuple(r)) for r in rows.tolist()]
+        ranks = [lex_rank(p) for p in patterns]
+        reflected = [lex_rank(reflect(p)) for p in patterns]
+        for layout in ("C", "F"):  # rows as passed in, row- or column-major
+            seq = PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order=layout))
+            assert seq.ranks.tolist() == ranks
+            assert seq._reflected_ranks.tolist() == reflected
+            assert seq.rows.tolist() == rows.tolist()
 
 
 def test_rank_out_of_range():
