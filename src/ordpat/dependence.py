@@ -38,6 +38,7 @@ from .patterns import (
     OrdinalPattern,
     PatternSequence,
     WindowScheme,
+    _rows,
     lex_rank,
     pattern_sequence,
     stretch_sequence,
@@ -144,7 +145,7 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
     if len(seq) == 0:
         raise EmptySequence("cannot build a distribution from zero windows")
     _, first, cnt = np.unique(seq.ranks, return_index=True, return_counts=True)
-    rows = seq.rows[first].tolist()  # each distinct pattern's first occurrence
+    rows = _rows(seq._places[:, first]).tolist()  # each distinct pattern's first occurrence
     counts = {OrdinalPattern(tuple(row)): c for row, c in zip(rows, cnt.tolist())}
     return PatternDistribution(seq.order, counts, len(seq))
 
@@ -172,11 +173,15 @@ def _cross_sums(
     return int(cx @ cy), int(cx @ cy_reflected)
 
 
-def _rank_vectors(dist: PatternDistribution) -> tuple[np.ndarray, np.ndarray]:
-    # One rank per counted window, and the rank of its reflection.
+def _dense_counts(dist: PatternDistribution) -> np.ndarray:
+    # Row 0: the count of each rank; row 1: the count of each reflected rank.
+    # A distribution's patterns are distinct, so are their ranks.
     seq = PatternSequence(dist.order, WindowScheme.SLIDING, [p.indices for p in dist.counts])
+    dense = np.zeros((2, math.factorial(dist.order + 1)), dtype=np.int64)
     counts = list(dist.counts.values())
-    return np.repeat(seq.ranks, counts), np.repeat(seq._reflected_ranks, counts)
+    dense[0, seq.ranks] = counts
+    dense[1, seq._reflected_ranks] = counts
+    return dense
 
 
 def alpha_beta(
@@ -194,9 +199,9 @@ def alpha_beta(
         raise OrderMismatch(f"order {dist_x.order} vs {dist_y.order}")
     if not (0.0 <= p_eq <= 1.0 and 0.0 <= p_neq <= 1.0):
         raise ValueError(f"p_eq={p_eq} and p_neq={p_neq} must lie in [0, 1]")
-    rx, _ = _rank_vectors(dist_x)
-    ry, ry_reflected = _rank_vectors(dist_y)
-    cross_eq, cross_neq = _cross_sums(dist_x.order, rx, ry, ry_reflected)
+    cx = _dense_counts(dist_x)[0]
+    cy, cy_reflected = _dense_counts(dist_y)
+    cross_eq, cross_neq = int(cx @ cy), int(cx @ cy_reflected)
     pairs = dist_x.total * dist_y.total
     return p_eq - cross_eq / pairs, p_neq - cross_neq / pairs
 

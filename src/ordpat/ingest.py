@@ -94,7 +94,7 @@ def read_csv(
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [cell.strip() for cell in next(reader)]  # "key, value" names "value"
         except StopIteration:
             raise EmptyFile(f"{path}: file is empty") from None
         for column in (key_column, value_column):

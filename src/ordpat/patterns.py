@@ -13,6 +13,7 @@ tie-free window reverses the pattern tuple.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +22,13 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import NonFiniteValue, RankOutOfRange, SeriesTooShort, WindowTooShort
+from .errors import (
+    NonFiniteValue,
+    RankOutOfRange,
+    SeriesTooShort,
+    UnsupportedOrder,
+    WindowTooShort,
+)
 from .ingest import TimeSeries
 
 
@@ -89,7 +96,8 @@ def extract_pattern(window: Sequence[float], epsilon: float = 0.0) -> OrdinalPat
         raise WindowTooShort(f"window must hold >= 2 values, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"window contains NaN or infinity: {values.tolist()}")
-    return OrdinalPattern(tuple(_descending_argsort(values[None], epsilon)[0].tolist()))
+    _, places = _pattern_codes(_window_keys(values, values.size - 1, 1, epsilon))
+    return OrdinalPattern(tuple(np.argsort(places[:, 0]).tolist()))  # indices by place
 
 
 def reflect(pattern: OrdinalPattern) -> OrdinalPattern:
@@ -124,46 +132,69 @@ def rank_to_pattern(rank: int, h: int) -> OrdinalPattern:
     return OrdinalPattern(tuple(indices))
 
 
-@dataclass(frozen=True)
 class PatternSequence:
     """The ordered patterns extracted from one series under a window scheme.
 
-    ``rows`` is an (n_windows, order+1) integer matrix; row i is the index
-    tuple of window i. It is stored column-major (a read-only view of the
-    contiguous (order+1, n_windows) transpose), so ranking walks contiguous
-    columns; use :meth:`patterns` or indexing for :class:`OrdinalPattern`
-    objects.
+    Each window is held as two small integer columns from the comparison
+    kernel: where each index stands in its pattern, and how many earlier
+    indices stand after it. Everything else is derived from them on first
+    use and then kept: :attr:`ranks`, the ranks of the reflected patterns,
+    and ``rows``, the read-only (n_windows, order+1) int16 matrix whose row i
+    is the index tuple of window i, which indexing and iteration read for
+    :class:`OrdinalPattern` objects.
+
+    ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
+    rows; each row must be a permutation of ``0..order``.
     """
 
-    order: int
-    scheme: WindowScheme
-    rows: np.ndarray
+    def __init__(self, order: int, scheme: WindowScheme, rows: Sequence[Sequence[int]]) -> None:
+        rows = np.asarray(rows)
+        width = order + 1
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows must be (n, {width}), got shape {rows.shape}")
+        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > order):
+            raise ValueError(f"rows must hold permutations of 0..{order}")
+        # places[p, i] is where index p stands in row i; an index missing from
+        # a row (another one repeated) keeps its -1.
+        places = np.full((width, rows.shape[0]), -1, dtype=_counter_dtype(width))
+        np.put_along_axis(places, rows.T, np.arange(width, dtype=places.dtype)[:, None], axis=0)
+        if (places < 0).any():
+            raise ValueError(f"rows must hold permutations of 0..{order}")
+        self.order, self.scheme = order, scheme
+        self._below, self._places = _pattern_codes(-places)
 
-    def __post_init__(self) -> None:
-        rows = np.asfortranarray(self.rows)
-        if rows.ndim != 2 or rows.shape[1] != self.order + 1:
-            raise ValueError(
-                f"rows must be (n, {self.order + 1}), got shape {rows.shape}"
-            )
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+    @classmethod
+    def _from_codes(
+        cls, order: int, scheme: WindowScheme, below: np.ndarray, places: np.ndarray
+    ) -> "PatternSequence":
+        seq = cls.__new__(cls)
+        seq.order, seq.scheme, seq._below, seq._places = order, scheme, below, places
+        return seq
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """Read-only :func:`lex_rank` of every row, computed once on first use.
+        """Read-only :func:`lex_rank` of every window, computed once on first use.
 
         All pattern counting and comparison works on these integers.
         """
-        return _rank_rows(self.rows)
+        # Index p stands at place q_p with b_p smaller indices after it, so it
+        # adds the Lehmer digit b_p at place q_p: rank = sum_p b_p * (h - q_p)!.
+        return _digit_sum(self._below, _digit_tables(self.order)[0], self._places)
 
     @cached_property
     def _reflected_ranks(self) -> np.ndarray:
-        # Ranks of the rows read right-to-left, i.e. of the reflected patterns;
-        # the reversed rows are a view, their columns in reverse order.
-        return _rank_rows(self.rows[:, ::-1])
+        # Ranks of the windows read right-to-left: index p moves to place
+        # h - q_p, and the p - b_p smaller indices ahead of it now follow it.
+        index = np.arange(self.order + 1, dtype=self._below.dtype)[:, None]
+        return _digit_sum(index - self._below, _digit_tables(self.order)[1], self._places)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Read-only (n_windows, order+1) int16 index tuples, built on first use."""
+        return _rows(self._places)
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self._places.shape[1]
 
     def __getitem__(self, i: int) -> OrdinalPattern:
         return OrdinalPattern(tuple(int(v) for v in self.rows[i]))
@@ -176,21 +207,107 @@ class PatternSequence:
         return tuple(self)
 
 
-def _descending_argsort(windows: np.ndarray, epsilon: float = 0.0) -> np.ndarray:
-    # Pattern rows of a stack of windows along the last axis. A stable sort on
-    # the negated values keeps equal values in index order (the tie rule); with
-    # epsilon > 0, sorted neighbours at most epsilon apart chain into one group
-    # and each group is relisted by index.
+#: Windows per block of the rank sums.
+_BLOCK = 8192
+
+
+def _counter_dtype(width: int) -> np.dtype:
+    # The smallest signed type holding -width..width: int8 up to h = 126.
+    return np.min_scalar_type(-width)
+
+
+def _pattern_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The comparison kernel: ``(below, places)`` of the windows in ``keys``.
+
+    ``keys`` is (h+1, n_windows); column i holds window i's keys, and its
+    pattern lists indices by descending key, equal keys earlier index first.
+    ``places[p, i]`` is where index p stands in that pattern and
+    ``below[p, i]`` counts the earlier indices q < p with a smaller key, which
+    are the earlier indices standing after p. Only the strict comparisons
+    ``keys[p] > keys[q]`` for q < p enter, one call per p.
+    """
+    width, n = keys.shape
+    dtype = _counter_dtype(width)
+    below = np.zeros((width, n), dtype)
+    places = np.zeros((width, n), dtype)
+    for p in range(1, width):
+        # 1 where p's key is larger than earlier index q's; bytes read as int8.
+        larger = (keys[p] > keys[:p]).view(np.int8)
+        larger.sum(axis=0, dtype=dtype, out=below[p])
+        places[:p] += larger  # p stands ahead of those earlier indices
+    # place = (later indices ahead, summed so far) + (earlier ones: p - below)
+    places -= below
+    places += np.arange(width, dtype=dtype)[:, None]
+    return below, places
+
+
+def _rows(places: np.ndarray) -> np.ndarray:
+    # rows[i, places[p, i]] = p, as a read-only view of the (h+1, n) transpose.
+    width = places.shape[0]
+    cols = np.empty(places.shape, dtype=np.int16)
+    np.put_along_axis(cols, places, np.arange(width, dtype=np.int16)[:, None], axis=0)
+    cols.setflags(write=False)
+    return cols.T
+
+
+@functools.cache
+def _digit_tables(order: int) -> np.ndarray:
+    # Lehmer digit d at place q is worth d * (h - q)! in a rank (row 0) and
+    # d * q! in a reflected rank (row 1), stored at d * (h+1) + q; read-only.
+    if math.factorial(order + 1) > 2**63:
+        raise UnsupportedOrder(f"ranks of order h={order} overflow 64-bit integers (h <= 19)")
+    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=np.int64)
+    digits = np.arange(order + 1, dtype=np.int64)[:, None]
+    tables = np.stack([(digits * factorials[::-1]).ravel(), (digits * factorials).ravel()])
+    tables.setflags(write=False)
+    return tables
+
+
+def _digit_sum(digits: np.ndarray, table: np.ndarray, places: np.ndarray) -> np.ndarray:
+    # sum_p table[digits[p] * (h+1) + places[p]] for every window, read-only
+    # int64. Index 0's digit is always 0, so its row is skipped. Blocks of
+    # windows keep the (h, block) temporaries small.
+    width, n = places.shape
+    total = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        index = np.multiply(digits[1:, lo : lo + _BLOCK], width, dtype=np.int16)
+        index += places[1:, lo : lo + _BLOCK]
+        table.take(index).sum(axis=0, out=total[lo : lo + _BLOCK])
+    total.setflags(write=False)
+    return total
+
+
+def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.ndarray:
+    # The (h+1, n_windows) key matrix of the windows starting at 0, stride,
+    # 2*stride, ... With epsilon == 0 the keys are the values themselves, read
+    # through a strided view: keys[p, t] = values[t * stride + p]. With
+    # epsilon > 0, a stable sort finds each window's tie groups (sorted
+    # neighbours at most epsilon apart chain into one group) and the key of a
+    # value is minus its group number, so groups keep their descending order
+    # and the indices inside a group fall back to index order.
     if not epsilon >= 0.0:  # false for NaN as well
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    order = np.argsort(-windows, axis=-1, kind="stable")
+    values = np.ascontiguousarray(values)
+    size = values.itemsize
+    n_windows = (values.size - h - 1) // stride + 1
+    # The buffer comes from a fresh view: an exported array keeps its buffer
+    # info until it dies, so exporting the caller's array would leave some
+    # on every series ever extracted.
+    keys = np.ndarray((h + 1, n_windows), values.dtype, values[:], 0, (size, size * stride))
+    if stride > 1:
+        # One copy of about N values; comparing rows read with a stride of h
+        # values is several times slower than comparing contiguous ones.
+        keys = keys.copy()
     if epsilon > 0.0:
-        ranked = np.take_along_axis(windows, order, axis=-1)
-        steps = np.diff(ranked, axis=-1, prepend=ranked[..., :1])  # <= 0; the first is 0
-        group = np.cumsum(steps < -epsilon, axis=-1)
-        width = order.shape[-1]
-        order = np.sort(group * width + order, axis=-1) % width
-    return order
+        order = np.argsort(-keys, axis=0, kind="stable")
+        cols = np.arange(n_windows)
+        ranked = keys[order, cols]
+        # A gap of more than epsilon to the previous sorted value opens a group.
+        group = np.zeros(order.shape, dtype=np.intp)
+        np.cumsum(ranked[:-1] - ranked[1:] > epsilon, axis=0, out=group[1:])
+        keys = np.empty_like(group)
+        keys[order, cols] = -group
+    return keys
 
 
 def pattern_sequence(
@@ -216,9 +333,8 @@ def pattern_sequence(
             raise NonFiniteValue("series contains NaN or infinity")
     if values.size < h + 1:
         raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {values.size}")
-    windows = values[np.arange(0, values.size - h, stride)[:, None] + np.arange(h + 1)]
-    cols = np.ascontiguousarray(_descending_argsort(windows, epsilon).T, dtype=np.int16)
-    return PatternSequence(h, scheme, cols.T)
+    codes = _pattern_codes(_window_keys(values, h, stride, epsilon))
+    return PatternSequence._from_codes(h, scheme, *codes)
 
 
 def _stride(h: int, scheme: WindowScheme) -> int:
@@ -257,22 +373,8 @@ def stretch_sequence(
         offset[p] = sum(len(seq) for seq in seqs)
         seqs.append(pattern_sequence(series.values[p:], h, scheme, epsilon))
     if len(seqs) > 1:
-        cols = np.concatenate([seq.rows.T for seq in seqs], axis=1)
-        seqs = [PatternSequence(h, scheme, cols.T)]
+        below = np.concatenate([seq._below for seq in seqs], axis=1)
+        places = np.concatenate([seq._places for seq in seqs], axis=1)
+        seqs = [PatternSequence._from_codes(h, scheme, below, places)]
     count = (lengths - h - 1) // stride + 1
     return seqs[0], offset[starts % stride] + starts // stride, count
-
-
-def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`lex_rank` over the rows of a pattern matrix (read-only).
-
-    Works column by column: ``cols[j]`` is position j of every pattern, so
-    each step compares contiguous columns when ``rows`` is column-major.
-    """
-    cols = rows.T
-    width = cols.shape[0]
-    ranks = np.zeros(cols.shape[1], dtype=np.int64)
-    for j in range(width - 1):
-        ranks += (cols[j + 1 :] < cols[j]).sum(axis=0) * math.factorial(width - 1 - j)
-    ranks.setflags(write=False)
-    return ranks

@@ -35,7 +35,7 @@ from ordpat import (
     read_csv,
     reflect,
 )
-from ordpat.patterns import _descending_argsort
+from ordpat.patterns import _pattern_codes, _rows
 from oracles import pair_counts, pattern_list, sort_pattern, three_point_pattern_from_increments
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,7 +88,8 @@ def test_criterion_1_brute_force_oracle_equivalence():
     for length in (7, 8):
         grid = np.array(list(itertools.product(range(4), repeat=length)), dtype=float)
         windows = np.lib.stride_tricks.sliding_window_view(grid, 3, axis=1)
-        rows = _descending_argsort(windows)
+        _, places = _pattern_codes(windows.reshape(-1, 3).T)
+        rows = _rows(places).reshape(windows.shape)
         for i, raw in enumerate(map(tuple, grid.astype(int))):
             assert [tuple(map(int, r)) for r in rows[i]] == pattern_list(raw, 2)
 

@@ -42,6 +42,14 @@ def test_read_csv_utf8_bom_and_crlf(tmp_path):
     assert ts.values.tolist() == [1.5, 2.5]
 
 
+def test_read_csv_strips_header_whitespace(tmp_path):
+    p = _write(tmp_path / "a.csv", "key, value \nd1,1.5\nd2, 2.5\n")
+    ts = read_csv(p, "key", "value")
+    assert ts.keys == ("d1", "d2")
+    assert ts.values.tolist() == [1.5, 2.5]
+    assert ts.name == "value"
+
+
 def test_read_csv_selects_column(tmp_path):
     p = _write(tmp_path / "a.csv", "date,open,close\nd1,1,10\nd2,2,20\n")
     assert read_csv(p, "date", "open").values.tolist() == [1.0, 2.0]

@@ -12,6 +12,8 @@ from ordpat import (
     PatternSequence,
     RankOutOfRange,
     SeriesTooShort,
+    TimeSeries,
+    UnsupportedOrder,
     WindowScheme,
     WindowTooShort,
     extract_pattern,
@@ -20,6 +22,7 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
+from ordpat.patterns import stretch_sequence
 from oracles import pattern_list, sort_pattern, three_point_pattern_from_increments
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -200,6 +203,23 @@ def test_rank_kernel_matches_lex_rank():
             assert seq.rows.tolist() == rows.tolist()
 
 
+def test_pattern_sequence_rejects_rows_that_are_not_permutations():
+    for rows in ([[0, 0, 1], [5, 1, 2]], [[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match="permutations"):
+            PatternSequence(2, WindowScheme.SLIDING, rows)
+    with pytest.raises(ValueError, match="rows must be"):
+        PatternSequence(2, WindowScheme.SLIDING, [[0, 1]])
+
+
+def test_ranks_beyond_64_bits_are_refused():
+    seq = pattern_sequence(np.arange(20.0), 19)
+    assert seq.ranks.tolist() == [math.factorial(20) - 1]  # (19, 18, ..., 0)
+    seq = pattern_sequence(np.arange(21.0), 20)
+    assert seq[0].indices == tuple(range(20, -1, -1))  # patterns still extract
+    with pytest.raises(UnsupportedOrder):
+        seq.ranks
+
+
 def test_rank_out_of_range():
     with pytest.raises(RankOutOfRange):
         rank_to_pattern(6, 2)
@@ -298,3 +318,50 @@ def test_nan_or_negative_epsilon_is_rejected():
             extract_pattern((1.0, 2.0, 3.0), epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             pattern_sequence([1.0, 2.0, 3.0, 4.0], 2, epsilon=epsilon)
+
+
+# --- comparison kernel against the sort oracle ----------------------------------
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(21)
+    return {
+        "walk": np.cumsum(rng.standard_normal(60)),
+        # half-unit steps: exact ties, and neighbours 0.5 apart that chain
+        "grid": np.cumsum(np.round(rng.standard_normal(60) * 1.5) / 2.0),
+    }
+
+
+def _assert_matches_oracle(rows, ranks, reflected, expected):
+    patterns = [OrdinalPattern(p) for p in expected]
+    assert [tuple(map(int, r)) for r in rows] == expected
+    assert ranks.tolist() == [lex_rank(p) for p in patterns]
+    assert reflected.tolist() == [lex_rank(reflect(p)) for p in patterns]
+
+
+@pytest.mark.parametrize("data", ["walk", "grid"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("h", [1, 2, 3, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
+    values = _kernel_inputs()[data]
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    for n in (values.size, h + 1):
+        seq = pattern_sequence(values[:n], h, scheme, epsilon)
+        expected = pattern_list(values[:n].tolist(), h, epsilon, stride)
+        _assert_matches_oracle(seq.rows, seq.ranks, seq._reflected_ranks, expected)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("h", [1, 3, 8])
+def test_stretch_sequence_block_phases_match_sort_oracle(epsilon, h):
+    values = _kernel_inputs()["grid"]
+    series = TimeSeries(tuple(map(str, range(values.size))), values)
+    starts = np.array([0, 1, 2, 5, 7, 10, 11, values.size - h - 1])
+    lengths = np.array([h + 1, 20, 30, 2 * h + 1, 45, 50, 25, h + 1])
+    seq, lo, count = stretch_sequence(series, h, WindowScheme.BLOCK, starts, lengths, epsilon)
+    assert h == 1 or len({s % h for s in starts.tolist()}) >= 3  # several block phases
+    for s, length, a, k in zip(starts.tolist(), lengths.tolist(), lo.tolist(), count.tolist()):
+        expected = pattern_list(values[s : s + length].tolist(), h, epsilon, h)
+        rows = slice(a, a + k)
+        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._reflected_ranks[rows], expected)
