@@ -58,8 +58,7 @@ def write_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([key_column, value_column])
-        for key, value in zip(series.keys, series.values):
-            writer.writerow([key, repr(float(value))])
+        writer.writerows(zip(series.keys, map(repr, series.values.tolist())))
 
 
 # --- formatting helpers --------------------------------------------------------
@@ -443,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         output = args.func(args)
-    except (OrdpatError, ValueError) as exc:
+    except (OrdpatError, ValueError, OSError) as exc:  # OSError names its file
         message = " ".join(str(exc).split())  # keep the error on a single line
         print(f"ordpat: error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

@@ -65,7 +65,8 @@ class MissingColumn(OrdpatError):
 
 
 class ParseError(OrdpatError):
-    """A CSV cell did not parse as a finite decimal number."""
+    """A CSV file did not parse: undecodable text, a row or field csv refuses,
+    or a cell that is not a finite decimal number."""
 
 
 class DuplicateKey(OrdpatError):

@@ -55,7 +55,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _integer_keys(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+    return tuple(map(str, range(n)))  # unique by construction
 
 
 def gaussian_walk_pair(
@@ -70,8 +70,8 @@ def gaussian_walk_pair(
     increments = _rng(seed).standard_normal((2, n))
     keys = _integer_keys(n)
     return (
-        TimeSeries(keys, np.cumsum(increments[0]), names[0]),
-        TimeSeries(keys, np.cumsum(increments[1]), names[1]),
+        TimeSeries._with_unique_keys(keys, np.cumsum(increments[0]), names[0]),
+        TimeSeries._with_unique_keys(keys, np.cumsum(increments[1]), names[1]),
     )
 
 
@@ -90,7 +90,10 @@ def correlated_ar1_pair(cfg: Ar1Config) -> tuple[TimeSeries, TimeSeries]:
     x = _ar1_recursion(z, cfg.phi)
     y = _ar1_recursion(w, cfg.phi)
     keys = _integer_keys(cfg.n)
-    return TimeSeries(keys, x, "ar1_x"), TimeSeries(keys, y, "ar1_y")
+    return (
+        TimeSeries._with_unique_keys(keys, x, "ar1_x"),
+        TimeSeries._with_unique_keys(keys, y, "ar1_y"),
+    )
 
 
 def _ar1_recursion(noise: np.ndarray, phi: float) -> np.ndarray:
@@ -117,4 +120,7 @@ def inject_outliers(
         positions = _rng(cfg.seed).choice(n, size=cfg.k, replace=False)
         vx[positions] = cfg.magnitude
         vy[positions] = -cfg.magnitude
-    return TimeSeries(x.keys, vx, x.name), TimeSeries(y.keys, vy, y.name)
+    return (
+        TimeSeries._with_unique_keys(x.keys, vx, x.name),
+        TimeSeries._with_unique_keys(y.keys, vy, y.name),
+    )

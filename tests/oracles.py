@@ -85,3 +85,74 @@ def three_point_pattern_from_increments(d1: float, d2: float) -> tuple[int, ...]
     if d1 <= 0 and d2 > 0 and d1 + d2 > 0:
         return (2, 0, 1)
     raise AssertionError(f"unreachable increment case: {d1}, {d2}")
+
+
+def read_csv_rows(path, key_column: str, value_column: str) -> tuple[list[str], list[float]]:
+    """Keys and values of one CSV series, read one ``csv.reader`` row at a time.
+
+    Raises the library's typed errors with the messages ``ordpat.read_csv``
+    gives, checking each row in file order.
+    """
+    import csv
+    import math
+
+    from ordpat.errors import DuplicateKey, EmptyFile, MissingColumn, ParseError
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise EmptyFile(f"{path}: file is empty") from None
+        for column in (key_column, value_column):
+            if column not in header:
+                raise MissingColumn(f"{path}: no column {column!r} in header {header}")
+        key_idx = header.index(key_column)
+        value_idx = header.index(value_column)
+
+        keys: list[str] = []
+        values: list[float] = []
+        seen: set[str] = set()
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line
+            if len(row) <= max(key_idx, value_idx):
+                raise ParseError(f"{path}: row {row_no} has only {len(row)} fields")
+            key = row[key_idx]
+            cell = row[value_idx]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_no}, column {value_column!r}: "
+                    f"cannot parse {cell!r} as a decimal"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {row_no}, column {value_column!r}: "
+                    f"non-finite value {cell!r}"
+                )
+            if key in seen:
+                raise DuplicateKey(f"{path}: duplicate key {key!r} at row {row_no}")
+            seen.add(key)
+            keys.append(key)
+            values.append(value)
+    if not keys:
+        raise EmptyFile(f"{path}: no data rows")
+    return keys, values
+
+
+def dict_join(
+    keys_a: Sequence[str], values_a: Sequence[float],
+    keys_b: Sequence[str], values_b: Sequence[float],
+) -> tuple[list[str], list[float], list[float], int, int]:
+    """Inner join on keys in ``a``'s order: keys, both value lists, rows each side lost."""
+    position_b = {k: i for i, k in enumerate(keys_b)}
+    kept = [(i, position_b[k]) for i, k in enumerate(keys_a) if k in position_b]
+    return (
+        [keys_a[i] for i, _ in kept],
+        [values_a[i] for i, _ in kept],
+        [values_b[j] for _, j in kept],
+        len(keys_a) - len(kept),
+        len(keys_b) - len(kept),
+    )

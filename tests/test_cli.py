@@ -359,6 +359,50 @@ def test_missing_column_exit(tmp_path):
     assert err.startswith("ordpat: error: MissingColumn:")
 
 
+def _one_line_error(args, error_type, path):
+    code, out, err = run_cli(*args)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"ordpat: error: {error_type}: ")
+    assert str(path) in err
+
+
+def test_missing_input_file_is_single_line_error(tmp_path):
+    missing = tmp_path / "missing.csv"
+    _one_line_error(("dist", "--x", missing, "--h", 2), "FileNotFoundError", missing)
+
+
+def test_directory_input_is_single_line_error(tmp_path, fixtures_dir):
+    args = ("analyze", "--x", fixtures_dir / "golden_x.csv", "--y", tmp_path, "--h", 2)
+    _one_line_error(args, "IsADirectoryError", tmp_path)
+
+
+def test_unwritable_simulate_output_is_single_line_error(tmp_path):
+    out_x = tmp_path / "no_such_dir" / "x.csv"
+    args = ("simulate", "walk", "--n", 10, "--out-x", out_x, "--out-y", tmp_path / "y.csv")
+    _one_line_error(args, "FileNotFoundError", out_x)
+
+
+def test_unwritable_inject_output_is_single_line_error(tmp_path, fixtures_dir):
+    gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
+    args = ("inject", "--x", gx, "--y", gy, "--k", 1,
+            "--out-x", tmp_path, "--out-y", tmp_path / "y.csv")
+    _one_line_error(args, "IsADirectoryError", tmp_path)
+
+
+def test_over_long_cell_is_single_line_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("key,value\n" + "k" * 131073 + ",1.0\n")
+    _one_line_error(("dist", "--x", path, "--h", 2), "ParseError", path)
+
+
+def test_undecodable_byte_is_single_line_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"key,value\ncaf\xe9,1.0\n")
+    _one_line_error(("dist", "--x", path, "--h", 2), "ParseError", path)
+
+
 def test_cli_runs_as_module_subprocess(fixtures_dir):
     code, out, err = run_cli_bytes(
         "analyze", "--x", fixtures_dir / "golden_x.csv",

@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import oracles
+from ordpat import ingest
 from ordpat import (
     DuplicateKey,
     EmptyFile,
@@ -13,6 +19,7 @@ from ordpat import (
     read_csv,
 )
 from ordpat.cli import write_csv
+from ordpat.errors import OrdpatError
 
 
 def _write(path, text):
@@ -183,3 +190,181 @@ def test_write_read_round_trip(tmp_path):
     back = read_csv(tmp_path / "rt.csv", "k", "v")
     assert back.keys == ts.keys
     assert np.array_equal(back.values, ts.values)  # exact, not approximate
+
+
+# --- differential: column-wise reader and join against the row-loop oracle ------
+
+ODD_KEYS = [" d1", "k,1", "k\n2", ""]
+ODD_CELLS = ["-0", "1_000", " 7 ", "7\n", "nan", "inf", "-inf", "abc", "", "1,5",
+             "0x10", "\u00e9"]
+TERMINATORS = ["\n", "\r\n", "\r"]
+
+
+def _cell(text, quote):
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw, allow_quotes=True):
+    """CSV text with columns k (keys) and v (values), maybe x, and odd rows."""
+    special = draw(st.sampled_from([None] * 20 + ["", "\n", "\r\n", " \n"]))
+    if special is not None:
+        return special
+
+    def usable(texts):
+        return [t for t in texts if allow_quotes or not any(c in t for c in ',\r\n')]
+
+    columns = draw(st.permutations(["k", "v", "x"]))
+    if draw(st.booleans()):
+        columns.remove("x")
+    header = [draw(st.sampled_from([c] * 12 + [f" {c} ", c.upper()])) for c in columns]
+    keys = st.sampled_from(usable(ODD_KEYS) + [f"d{i}" for i in range(40)])
+    values = st.sampled_from(["float"] * 6 + ["int"] * 3 + ["odd"]).flatmap(
+        lambda kind: {
+            "float": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            "int": st.integers(-999, 999).map(str),
+            "odd": st.sampled_from(usable(ODD_CELLS)),
+        }[kind]
+    )
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(["row"] * 40 + ["blank", "space", "short", "long"]))
+        if shape in ("blank", "space"):
+            lines.append("" if shape == "blank" else "  ")
+            continue
+        row = [draw(keys) if c == "k" else draw(values) for c in columns]
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(values, min_size=1, max_size=2))
+        quote = allow_quotes and draw(st.booleans()) and draw(st.booleans())
+        lines.append(",".join(_cell(c, quote and draw(st.booleans())) for c in row))
+    text = "".join(line + draw(st.sampled_from(TERMINATORS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no trailing newline
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+def _both_readers(path):
+    """(library outcome, oracle outcome), each a series or (error type, message)."""
+    try:
+        ts = read_csv(path, "k", "v")
+        mine = (ts.keys, ts.values.tobytes())
+    except Exception as exc:
+        mine = (type(exc), str(exc))
+    try:
+        keys, values = oracles.read_csv_rows(path, "k", "v")
+        theirs = (tuple(keys), np.array(values, dtype=float).tobytes())
+    except Exception as exc:
+        theirs = (type(exc), str(exc))
+    return mine, theirs
+
+
+@given(csv_texts())
+def test_read_csv_matches_row_reader_oracle(scratch, text):
+    path = scratch / "one.csv"
+    path.write_bytes(text.encode("utf-8"))
+    mine, theirs = _both_readers(path)
+    assert mine == theirs
+
+
+keyed_rows = st.lists(
+    st.tuples(
+        st.sampled_from([f"d{i}" for i in range(30)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=30, unique_by=lambda row: row[0],
+)
+
+
+@given(keyed_rows, keyed_rows, st.sampled_from(TERMINATORS))
+def test_align_matches_dict_join_oracle(scratch, rows_a, rows_b, terminator):
+    paths = scratch / "a.csv", scratch / "b.csv"
+    for path, rows in zip(paths, (rows_a, rows_b)):
+        lines = ["v,k"] + [f"{value!r},{key}" for key, value in rows]
+        path.write_bytes(terminator.join(lines).encode("utf-8"))
+    a, b = (read_csv(path, "k", "v") for path in paths)
+    (keys_a, values_a), (keys_b, values_b) = (
+        oracles.read_csv_rows(path, "k", "v") for path in paths
+    )
+    keys, kept_a, kept_b, dropped_a, dropped_b = oracles.dict_join(
+        keys_a, values_a, keys_b, values_b
+    )
+    if not keys:
+        with pytest.raises(NoCommonKeys, match=r"share no keys \(\d+ vs \d+ rows\)"):
+            align(a, b)
+        return
+    res = align(a, b)
+    assert res.a.keys is res.b.keys
+    assert res.a.keys == tuple(keys)
+    assert res.a.values.tobytes() == np.array(kept_a).tobytes()
+    assert res.b.values.tobytes() == np.array(kept_b).tobytes()
+    assert (res.dropped_a, res.dropped_b) == (dropped_a, dropped_b)
+
+
+@given(csv_texts(allow_quotes=False))
+def test_split_tokenizer_matches_csv_reader(text):
+    """On quote-free text the split tokenizer gives csv.reader's columns and stops."""
+    assume(text)  # read_csv refuses an empty file before tokenizing
+    path = Path("t.csv")
+    outcomes = []
+    for tokenize in (ingest._split_columns, ingest._quoted_columns):
+        try:
+            keys, cells, rows, stop = tokenize(text, path, "k", "v")
+            outcomes.append((keys, cells, list(rows), stop and str(stop)))
+        except OrdpatError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_quote_anywhere_routes_through_csv_reader(tmp_path, monkeypatch):
+    calls = []
+    for name in ("_split_columns", "_quoted_columns"):
+        original = getattr(ingest, name)
+        monkeypatch.setattr(
+            ingest, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    plain = _write(tmp_path / "plain.csv", "k,v\r\nd1,1.5\nd2, 2_0 \r\rd3,-3\n")
+    quoted = _write(tmp_path / "quoted.csv", 'k,v\r\n"d1",1.5\nd2, 2_0 \r\rd3,"-3"\n')
+    a, b = read_csv(plain, "k", "v"), read_csv(quoted, "k", "v")
+    assert calls == ["_split_columns", "_quoted_columns"]
+    assert a.keys == b.keys == ("d1", "d2", "d3")
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.values.tolist() == [1.5, 20.0, -3.0]
+
+
+def test_read_csv_error_row_counts_blank_lines(tmp_path):
+    p = _write(tmp_path / "a.csv", "k,v\n\nd1,1\n  \nd2,2\n")
+    with pytest.raises(ParseError, match=r"row 4 has only 1 fields"):
+        read_csv(p, "k", "v")
+
+
+def test_read_csv_field_limit_is_a_parse_error(tmp_path):
+    long_key = "d" * 131073
+    for row in (f"{long_key},2", long_key):  # the limit comes before the field count
+        for text in (f"k,v\nd1,1\n{row}\n", f'k,v\n"d1",1\n{row}\n'):
+            p = _write(tmp_path / "a.csv", text)
+            with pytest.raises(ParseError, match=r"row 3: field larger than field limit"):
+                read_csv(p, "k", "v")
+    p = _write(tmp_path / "a.csv", f"k,v\nd1,1\n{long_key[1:]},2\n")
+    assert len(read_csv(p, "k", "v")) == 2
+
+
+def test_align_outputs_share_one_key_tuple():
+    a = TimeSeries(("d1", "d2", "d3"), np.array([1.0, 2.0, 3.0]))
+    b = TimeSeries(("d3", "d1", "d2", "d0"), np.array([30.0, 10.0, 20.0, 0.0]))
+    res = align(a, b)
+    assert res.a.keys is res.b.keys is a.keys  # a lost no row
+    assert res.b.values.tolist() == [10.0, 20.0, 30.0]
+    res = align(b, a)
+    assert res.a.keys is res.b.keys
+    assert res.a.keys == ("d3", "d1", "d2")
