@@ -303,14 +303,91 @@ def delay_scan(
     d = np.array(delays, dtype=np.int64)
     overlap = n - np.abs(d)
     # The overlap starts at point max(-d, 0) of X and max(d, 0) of Y; each
-    # side is one contiguous run of its sequence.
-    seq_x, x_lo, count = stretch_sequence(x, h, scheme, np.maximum(-d, 0), overlap, epsilon)
-    seq_y, y_lo, _ = stretch_sequence(y, h, scheme, np.maximum(d, 0), overlap, epsilon)
+    # side is one contiguous run of its sequence, a prefix or a suffix of
+    # the rows of one phase.
+    seq_x, x_lo, count, x_phase = stretch_sequence(
+        x, h, scheme, np.maximum(-d, 0), overlap, epsilon
+    )
+    seq_y, y_lo, _, y_phase = stretch_sequence(y, h, scheme, np.maximum(d, 0), overlap, epsilon)
     rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
+    # Each phase in use is histogrammed once. For d >= 0 the overlap is a
+    # prefix of X's phase and a suffix of Y's, for d < 0 the other way round,
+    # so the delays sharing a sign and a pair of phases form one chain: with
+    # the suffix side read backwards, its overlaps are the first k windows of
+    # both sides. A chain's cross sums are its whole phases' minus what the
+    # windows past k take off, found for every k of the chain at once.
+    size = math.factorial(h + 1)
+    cx = {p: np.bincount(rx[slice(*p)], minlength=size) for p in set(map(tuple, x_phase.tolist()))}
+    cy = {  # rows: ranks, reflected ranks
+        p: np.array([np.bincount(r[slice(*p)], minlength=size) for r in (ry, ry_reflected)])
+        for p in set(map(tuple, y_phase.tolist()))
+    }
+    chains: dict[tuple[bool, int, int, int, int], list[int]] = {}
+    for i, (delay, px, py) in enumerate(zip(delays, x_phase.tolist(), y_phase.tolist())):
+        chains.setdefault((delay >= 0, *px, *py), []).append(i)
+    cross = np.empty((2, len(delays)), dtype=np.int64)  # rows: equal, reflected
+    for (later, fx, ex, fy, ey), members in chains.items():
+        k = count[members]
+        lo = int(k.min())
+        # The windows past the chain's shortest overlap, in the order that
+        # shorter overlaps leave them out.
+        if later:
+            ends_x = rx[fx + lo : ex]
+            ends_y = np.array((ry[fy : ey - lo], ry_reflected[fy : ey - lo]))[:, ::-1]
+        else:
+            ends_x = rx[fx : ex - lo][::-1]
+            ends_y = np.array((ry[fy + lo : ey], ry_reflected[fy + lo : ey]))
+        hx, hy = cx[fx, ex], cy[fy, ey]
+        cross[:, members] = (hy @ hx)[:, None] - _cut_sums(hx, hy, ends_x, ends_y)[:, k - lo]
     return [
-        (delay, _pair_report(h, rx[a : a + k], ry[b : b + k], ry_reflected[b : b + k]))
-        for delay, a, b, k in zip(delays, x_lo.tolist(), y_lo.tolist(), count.tolist())
+        (
+            delay,
+            _report(
+                h,
+                k,
+                int(np.count_nonzero(rx[a : a + k] == ry[b : b + k])),
+                int(np.count_nonzero(rx[a : a + k] == ry_reflected[b : b + k])),
+                cross_eq,
+                cross_neq,
+            ),
+        )
+        for delay, a, b, k, cross_eq, cross_neq in zip(
+            delays, x_lo.tolist(), y_lo.tolist(), count.tolist(), *cross.tolist()
+        )
     ]
+
+
+def _cut_sums(hx: np.ndarray, hy: np.ndarray, ends_x: np.ndarray, ends_y: np.ndarray) -> np.ndarray:
+    # Column j is what leaving out the windows ends_x[j:] from histogram hx
+    # and ends_y[r, j:] from hy[r] takes off hy[r] @ hx, for rows r = 0, 1 and
+    # j = 0 .. min(len(ends_x), ends_y.shape[1]):
+    #     sum_{u in ends_x[j:]} hy[r, u] + sum_{v in ends_y[r, j:]} hx[v]
+    #         - #{(s, t): s, t >= j, ends_x[s] == ends_y[r, t]}.
+    # A matching pair (s, t) is counted at min(s, t), by searching sorted keys
+    # (r * (h+1)! + rank) * span + position, never with a len(ends_x) x
+    # len(ends_y) matrix. Ranks are below (h+1)!, so a key overflows int64
+    # only where the dense histograms could not be held.
+    nx, ny = ends_x.size, ends_y.shape[1]
+    span = max(nx, ny) + 1
+    at = np.arange(span)
+    lift = np.array([[0], [hx.size]])
+    first_x = ends_x * span  # a window's key less its position
+    first_y = ends_y * span
+    keys_x = first_x + at[:nx]
+    keys_x.sort()
+    keys_y = (first_y + at[:ny] + lift * span).ravel()
+    keys_y.sort()
+    first_x = first_x + lift * span
+    # What position j adds to the columns up to j: its windows' terms less
+    # the matching pairs (j, t >= j) and (s > j, j).
+    parts = np.zeros((2, span), dtype=np.int64)
+    parts[:, :nx] = hy[:, ends_x] - (
+        keys_y.searchsorted(first_x + span) - keys_y.searchsorted(first_x + at[:nx])
+    )
+    parts[:, :ny] += hx[ends_y] - (
+        keys_x.searchsorted(first_y + span) - keys_x.searchsorted(first_y + at[:ny], "right")
+    )
+    return np.cumsum(parts[:, ::-1], axis=1)[:, ::-1]
 
 
 def rolling_analysis(
@@ -348,28 +425,37 @@ def rolling_analysis(
             raise OrderMismatch(f"watch pattern {p} has order {p.order}, expected {h}")
 
     starts = np.arange(0, len(x) - window_len + 1, step)
-    seq_x, lo, k = stretch_sequence(x, h, scheme, starts, window_len, epsilon)
-    seq_y, _, _ = stretch_sequence(y, h, scheme, starts, window_len, epsilon)
+    seq_x, lo, k, _ = stretch_sequence(x, h, scheme, starts, window_len, epsilon)
+    seq_y, _, _, _ = stretch_sequence(y, h, scheme, starts, window_len, epsilon)
     rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
-    # Running totals of matching windows and of watched ranks in X and in Y;
-    # each window's counts are differences of two totals.
-    watch_ranks = np.array([lex_rank(p) for p in watch], dtype=np.int64)[:, None]
-    hits = np.vstack((rx == ry, rx == ry_reflected, rx == watch_ranks, ry == watch_ranks))
-    totals = np.zeros((hits.shape[0], rx.size + 1), dtype=np.int64)
-    np.cumsum(hits, axis=1, out=totals[:, 1:])
+    # Row i holds window i's rank in X, its rank in Y plus (h+1)! and its
+    # reflected rank in Y plus 2 (h+1)!, so a rolling window's rows are one
+    # contiguous run and one bincount of it gives all three histograms.
+    size = math.factorial(h + 1)
+    keys = np.empty((rx.size, 3), dtype=np.int64)
+    keys[:, 0] = rx
+    np.add(ry, size, out=keys[:, 1])
+    np.add(ry_reflected, 2 * size, out=keys[:, 2])
+    # Running totals of matching and of mirrored windows; each window's counts
+    # are differences of two totals.
+    totals = np.zeros((2, rx.size + 1), dtype=np.int32)
+    np.cumsum(rx == ry, dtype=np.int32, out=totals[0, 1:])
+    np.cumsum(rx == ry_reflected, dtype=np.int32, out=totals[1, 1:])
+    watch_ranks = [lex_rank(p) for p in watch]
+    watch_keys = np.array(watch_ranks + [r + size for r in watch_ranks], dtype=np.intp)
     m = len(watch)
     windows: list[RollingWindow] = []
-    for start, a, (n_coincident, n_reflected, *watched) in zip(
+    for start, a, (n_coincident, n_reflected) in zip(
         starts.tolist(), lo.tolist(), (totals[:, lo + k] - totals[:, lo]).T.tolist()
     ):
-        wx, wy, wy_reflected = rx[a : a + k], ry[a : a + k], ry_reflected[a : a + k]
+        counts = np.bincount(keys[a : a + k].ravel(), minlength=3 * size)
+        cross_eq, cross_neq = (counts[size:].reshape(2, size) @ counts[:size]).tolist()
+        watched = counts[watch_keys].tolist()
         windows.append(
             RollingWindow(
                 start_key=x.keys[start],
                 end_key=x.keys[start + window_len - 1],
-                report=_report(
-                    h, k, n_coincident, n_reflected, *_cross_sums(h, wx, wy, wy_reflected)
-                ),
+                report=_report(h, k, n_coincident, n_reflected, cross_eq, cross_neq),
                 watch_counts=dict(zip(watch, zip(watched[:m], watched[m:]))),
             )
         )

@@ -351,15 +351,16 @@ def stretch_sequence(
     starts: np.ndarray,
     lengths: Union[int, np.ndarray],
     epsilon: float = 0.0,
-) -> tuple[PatternSequence, np.ndarray, Union[int, np.ndarray]]:
+) -> tuple[PatternSequence, np.ndarray, Union[int, np.ndarray], np.ndarray]:
     """Patterns of the stretches ``series[starts[i] : starts[i] + lengths[i]]``.
 
-    Returns ``(seq, lo, count)``: the windows of stretch i are rows
-    ``lo[i] : lo[i] + count[i]`` of ``seq``. Each phase ``p = start % stride``
-    in use (SLIDING has only phase 0) is extracted once, as
+    Returns ``(seq, lo, count, phase)``: the windows of stretch i are rows
+    ``lo[i] : lo[i] + count[i]`` of ``seq``, and its phase's windows are rows
+    ``phase[i, 0] : phase[i, 1]``. Each phase ``p = start % stride`` in use
+    (SLIDING has only phase 0) is extracted once, as
     ``pattern_sequence(values[p:], h, scheme, epsilon)``; the phases are
     joined in order, so the window starting at point s is row
-    ``offset[s % stride] + s // stride``.
+    ``phase[i, 0] + s // stride`` for any stretch i in the phase of s.
     """
     stride = _stride(h, scheme)
     starts = np.asarray(starts, dtype=np.int64)
@@ -367,14 +368,17 @@ def stretch_sequence(
     # adds about 10 ms to a CLI call. With no stretch, phase 0 still checks
     # the series.
     phases = sorted(set((starts % stride).tolist())) or [0]
-    offset = np.zeros(stride, dtype=np.int64)
+    bounds = np.zeros((stride, 2), dtype=np.int64)  # each phase's rows [first, stop)
     seqs: list[PatternSequence] = []
+    rows = 0
     for p in phases:
-        offset[p] = sum(len(seq) for seq in seqs)
         seqs.append(pattern_sequence(series.values[p:], h, scheme, epsilon))
+        bounds[p] = rows, rows + len(seqs[-1])
+        rows += len(seqs[-1])
     if len(seqs) > 1:
         below = np.concatenate([seq._below for seq in seqs], axis=1)
         places = np.concatenate([seq._places for seq in seqs], axis=1)
         seqs = [PatternSequence._from_codes(h, scheme, below, places)]
     count = (lengths - h - 1) // stride + 1
-    return seqs[0], offset[starts % stride] + starts // stride, count
+    phase = bounds[starts % stride]
+    return seqs[0], phase[:, 0] + starts // stride, count, phase

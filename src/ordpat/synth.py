@@ -33,6 +33,8 @@ class Ar1Config:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if not abs(self.rho) <= 1.0:
             raise InvalidRho(f"rho must lie in [-1, 1], got {self.rho}")
 
@@ -48,6 +50,8 @@ class OutlierConfig:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"magnitude must be finite, got {self.magnitude}")
 
 
 def _rng(seed: int) -> np.random.Generator:

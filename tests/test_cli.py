@@ -423,6 +423,26 @@ def test_nan_epsilon_is_single_line_error(fixtures_dir):
     assert err.startswith("ordpat: error: ValueError:")
 
 
+def test_non_finite_phi_is_single_line_error(tmp_path):
+    out_x, out_y = tmp_path / "x.csv", tmp_path / "y.csv"
+    code, out, err = run_cli("simulate", "ar1", "--n", 10, "--phi", "nan",
+                             "--out-x", out_x, "--out-y", out_y)
+    assert (code, out) == (1, "")
+    assert err == "ordpat: error: ValueError: phi must be finite, got nan\n"
+    assert not out_x.exists()
+
+
+def test_non_finite_magnitude_is_single_line_error(tmp_path, fixtures_dir):
+    out_x, out_y = tmp_path / "x.csv", tmp_path / "y.csv"
+    code, out, err = run_cli(
+        "inject", "--x", fixtures_dir / "golden_x.csv", "--y", fixtures_dir / "golden_y.csv",
+        "--k", 1, "--magnitude", "inf", "--out-x", out_x, "--out-y", out_y,
+    )
+    assert (code, out) == (1, "")
+    assert err == "ordpat: error: ValueError: magnitude must be finite, got inf\n"
+    assert not out_x.exists()
+
+
 def test_rolling_epsilon_takes_effect(fixtures_dir):
     gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
     args = ("rolling", "--x", gx, "--y", gy, "--h", 3, "--window", 60)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -429,12 +430,41 @@ def test_delay_scan_matches_per_slice_oracle(h, scheme, data, epsilon):
     stride = 1 if scheme is WindowScheme.SLIDING else h
     for n in (h + 1, 30):
         xs, ys = ORACLE_DATA[data][:, :n]
-        delays = range(-(n - h - 1), n - h)  # every delay with h + 1 overlapping points
-        scan = delay_scan(series(xs), series(ys), h, scheme, delays, epsilon)
-        assert [d for d, _ in scan] == list(delays)
-        for d, rep in scan:
-            vx, vy = (xs[: n - d], ys[d:]) if d >= 0 else (xs[-d:], ys[: n + d])
-            _assert_matches_oracle(rep, oracle_pair_report(vx, vy, h, epsilon, stride))
+        m = n - h - 1  # the largest delay with h + 1 overlapping points
+        lists = [range(-m, m + 1)]
+        if m >= 2:  # unsorted, with repeats and both extremes
+            lists.append([2, -m, 0, 2, m, -1])
+        for delays in lists:
+            scan = delay_scan(series(xs), series(ys), h, scheme, delays, epsilon)
+            assert [d for d, _ in scan] == list(delays)
+            for d, rep in scan:
+                vx, vy = (xs[: n - d], ys[d:]) if d >= 0 else (xs[-d:], ys[: n + d])
+                _assert_matches_oracle(rep, oracle_pair_report(vx, vy, h, epsilon, stride))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=4, max_size=60),
+    st.lists(st.integers(0, 2), min_size=4, max_size=60),
+    st.integers(1, 3),
+    st.sampled_from(list(WindowScheme)),
+    st.sampled_from([0.0, 1.0]),
+    st.data(),
+)
+def test_delay_scan_equals_analyze_pair_on_each_overlap(xs, ys, h, scheme, epsilon, data):
+    # Three levels make long runs of equal patterns, so many windows left out
+    # at the ends match each other; every report must equal a fresh analysis
+    # of the overlap, float for float.
+    n = min(len(xs), len(ys))
+    m = n - h - 1
+    if m < 0:
+        return
+    delays = data.draw(st.lists(st.integers(-m, m), max_size=12))
+    scan = delay_scan(series(xs[:n]), series(ys[:n]), h, scheme, delays, epsilon)
+    assert [d for d, _ in scan] == delays
+    for d, rep in scan:
+        vx, vy = (xs[: n - d], ys[d:n]) if d >= 0 else (xs[-d:n], ys[: n + d])
+        assert rep == analyze_pair(series(vx), series(vy), h, scheme, epsilon)
 
 
 @pytest.mark.parametrize("h", [1, 2, 8])
@@ -443,6 +473,13 @@ def test_delay_scan_matches_per_slice_oracle(h, scheme, data, epsilon):
 def test_rolling_analysis_matches_per_slice_oracle(h, scheme, data, epsilon):
     stride = 1 if scheme is WindowScheme.SLIDING else h
     watch = (OrdinalPattern(tuple(range(h + 1))), OrdinalPattern(tuple(range(h, -1, -1))))
+    # At h = 8, also a pattern that no window of either series shows, in any
+    # phase.
+    seen = {p.indices for p in watch}
+    seen.update(*(pattern_list(values, h, epsilon) for values in ORACLE_DATA[data]))
+    unseen = [p for p in itertools.permutations(range(h + 1)) if p not in seen][:1]
+    assert h < 8 or unseen
+    watch += tuple(map(OrdinalPattern, unseen))
     for n, window_len in ((h + 1, h + 1), (40, h + 1), (40, h + 12)):
         xs, ys = ORACLE_DATA[data][:, :n]
         for step in (1, 3, window_len):
@@ -509,6 +546,32 @@ def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme)
         else:
             phases = len({p % h for p in x_points}) + len({p % h for p in y_points})
             assert sum(extracted) <= (n - 1) // h * phases
+
+
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delay_scan_histograms_each_phase_once(monkeypatch, scheme):
+    # At most one bincount of X's ranks per X phase in use and two (ranks and
+    # reflected ranks) per Y phase, however many delays there are.
+    import ordpat.dependence as dependence
+
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(dependence.np, "bincount", counting)
+    n, h = 200, 3
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    x, y = random_series(n, 64), random_series(n, 65)
+    for delays in (range(-10, 11), [5] * 30, [0, 7, -7, 7]):
+        calls.clear()
+        scan = delay_scan(x, y, h, scheme, delays)
+        assert len(scan) == len(delays)
+        x_phases = {max(-d, 0) % stride for d in delays}
+        y_phases = {max(d, 0) % stride for d in delays}
+        assert len(calls) <= len(x_phases) + 2 * len(y_phases)
 
 
 @pytest.mark.parametrize("scheme", list(WindowScheme))

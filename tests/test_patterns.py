@@ -359,9 +359,17 @@ def test_stretch_sequence_block_phases_match_sort_oracle(epsilon, h):
     series = TimeSeries(tuple(map(str, range(values.size))), values)
     starts = np.array([0, 1, 2, 5, 7, 10, 11, values.size - h - 1])
     lengths = np.array([h + 1, 20, 30, 2 * h + 1, 45, 50, 25, h + 1])
-    seq, lo, count = stretch_sequence(series, h, WindowScheme.BLOCK, starts, lengths, epsilon)
+    seq, lo, count, phase = stretch_sequence(
+        series, h, WindowScheme.BLOCK, starts, lengths, epsilon
+    )
     assert h == 1 or len({s % h for s in starts.tolist()}) >= 3  # several block phases
-    for s, length, a, k in zip(starts.tolist(), lengths.tolist(), lo.tolist(), count.tolist()):
+    for s, length, a, k, (first, stop) in zip(
+        starts.tolist(), lengths.tolist(), lo.tolist(), count.tolist(), phase.tolist()
+    ):
         expected = pattern_list(values[s : s + length].tolist(), h, epsilon, h)
         rows = slice(a, a + k)
+        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._reflected_ranks[rows], expected)
+        # The phase's rows are every block window of values[s % h :].
+        expected = pattern_list(values[s % h :].tolist(), h, epsilon, h)
+        rows = slice(first, stop)
         _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._reflected_ranks[rows], expected)

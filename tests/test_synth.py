@@ -106,6 +106,14 @@ def test_ar1_config_validation():
         Ar1Config(n=1, phi=0.5, rho=0.5, seed=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_phi_and_magnitude_are_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^phi must be finite"):
+        Ar1Config(n=10, phi=value, rho=0.5, seed=0)
+    with pytest.raises(ValueError, match="^magnitude must be finite"):
+        OutlierConfig(k=1, magnitude=value, seed=0)
+
+
 def test_inject_zero_outliers_is_identity():
     x, y = correlated_ar1_pair(Ar1Config(n=100, phi=0.0, rho=0.0, seed=10))
     ox, oy = inject_outliers(x, y, OutlierConfig(k=0, magnitude=10.0, seed=1))
