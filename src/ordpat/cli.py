@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -106,15 +107,16 @@ def _report_rows(report: DependenceReport) -> list[list[str]]:
     ]
 
 
+# One parenthesised group of indices, e.g. "(3, 1,2,0)".
+_WATCH_GROUP = r"\(\s*[0-9]+(?:\s*,\s*[0-9]+)*\s*\)"
+
+
 def _parse_watch(text: str) -> tuple[OrdinalPattern, ...]:
-    groups = re.findall(r"\(([0-9,\s]+)\)", text)
-    if not groups:
+    # Groups separated by commas and whitespace, and nothing else.
+    if not re.fullmatch(rf"\s*{_WATCH_GROUP}(?:[\s,]*{_WATCH_GROUP})*\s*", text):
         raise ValueError(f"cannot parse watch list {text!r}; expected e.g. (0,1,2,3)")
-    patterns = []
-    for group in groups:
-        indices = tuple(int(part) for part in group.replace(" ", "").split(","))
-        patterns.append(OrdinalPattern(indices))
-    return tuple(patterns)
+    groups = re.findall(_WATCH_GROUP, text)
+    return tuple(OrdinalPattern(tuple(map(int, re.findall("[0-9]+", g)))) for g in groups)
 
 
 def _check_order(h: int) -> None:
@@ -446,7 +448,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = " ".join(str(exc).split())  # keep the error on a single line
         print(f"ordpat: error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (e.g. `| head`). Point stdout at devnull so the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

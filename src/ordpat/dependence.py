@@ -166,11 +166,11 @@ def coincident_reflected_counts(
 def _cross_sums(
     h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
 ) -> tuple[int, int]:
-    # Sum of cX*cY and of cX*cY(reflected) over dense per-rank histograms. The
-    # integer sums are exact, so no summation order enters the baselines.
-    size = math.factorial(h + 1)
-    cx, cy, cy_reflected = (np.bincount(r, minlength=size) for r in (rx, ry, ry_reflected))
-    return int(cx @ cy), int(cx @ cy_reflected)
+    # Sum of cX*cY and of cX*cY(reflected) over the ranks. Summed over Y's
+    # windows instead, cX[ry[j]], only X's histogram is needed. The integer
+    # sums are exact, so no summation order enters the baselines.
+    cx = np.bincount(rx, minlength=math.factorial(h + 1))
+    return int(cx.take(ry).sum()), int(cx.take(ry_reflected).sum())
 
 
 def _dense_counts(dist: PatternDistribution) -> np.ndarray:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import length_hint
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -113,155 +113,103 @@ def read_csv(
         raise ParseError(f"{path}: {exc}") from None
     if not text:
         raise EmptyFile(f"{path}: file is empty")
-    # Without a quote character, csv.reader's rules reduce to plain splits.
-    tokenize = _quoted_columns if '"' in text else _split_columns
-    keys, cells, rows, stop = tokenize(text, path, key_column, value_column)
-
-    # Every entry is checked column-wise; the first bad one in file order
-    # (and, within one record, the first failing check) is the error raised.
-    # ``stop`` ended the reading after the last entry, so it comes last.
-    n, error = len(cells), stop
-    remaining = iter(cells)
-    try:
-        values = np.fromiter(map(float, remaining), float, n)
-    except ValueError:
-        n -= length_hint(remaining) + 1  # the index of the cell that failed
-        error = ParseError(
-            f"{path}: row {rows[n]}, column {value_column!r}: "
-            f"cannot parse {cells[n]!r} as a decimal"
-        )
-        values = np.fromiter(map(float, cells[:n]), float, n)
-    finite = np.isfinite(values)
-    if not finite.all():
-        n = int(finite.argmin())
-        error = ParseError(
-            f"{path}: row {rows[n]}, column {value_column!r}: "
-            f"non-finite value {cells[n]!r}"
-        )
-    if len(set(islice(keys, n))) != n:
-        n = _first_repeat(keys)
-        error = DuplicateKey(f"{path}: duplicate key {keys[n]!r} at row {rows[n]}")
-    if error is not None:
-        raise error
-    if not keys:
-        raise EmptyFile(f"{path}: no data rows")
-    return TimeSeries._with_unique_keys(tuple(keys), values, name or value_column)
+    columns = _plain_columns(text, key_column, value_column)
+    keys, values = columns or _read_records(text, path, key_column, value_column)
+    return TimeSeries._with_unique_keys(keys, values, name or value_column)
 
 
-# What a tokenizer hands on: the key and value cells of each data record, in
-# file order, the file row number of each, and the error of the record that
-# ended the reading early (or None).
-_Columns = tuple[list[str], list[str], Sequence[int], Optional[ParseError]]
+def _plain_columns(
+    text: str, key_column: str, value_column: str
+) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
+    """The columns of a plain file, read by splits; None for any other file.
 
-
-def _split_columns(text: str, path: Path, key_column: str, value_column: str) -> _Columns:
-    """Tokenize non-empty, quote-free text.
-
-    Records end at \\r\\n, \\r or \\n and fields at commas, as in csv.reader.
+    A file is plain when it holds no quote character and, once trailing line
+    terminators are dropped, it is a header naming both columns and at least
+    one data record, no record is blank, all have one comma count and none
+    is longer than csv's field limit, and every value is a finite decimal
+    under a unique key. csv.reader's rules then reduce to splitting records
+    at \\r\\n, \\r or \\n and fields at commas. Never raises: every other
+    file is left to :func:`_read_records`, which owns every error.
     """
-    data = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not data.endswith("\n"):
-        data += "\n"
+    if '"' in text:
+        return None
+    data = text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
     # "," and "\n" are single bytes in UTF-8 that no other character's encoding
     # contains, so each record's size and comma count can be read from the bytes.
     raw = np.frombuffer(data.encode(), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    sizes = np.diff(ends, prepend=-1) - 1
     commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0)
-    sizes = np.diff(ends, prepend=-1) - 1  # record r is file row r + 1
     del raw
-    # The fields of every record in file order: a blank record adds one "",
-    # and the final terminator one more.
-    flat = data.replace("\n", ",").split(",")
-    starts = np.concatenate(([0], np.cumsum(commas + 1)))  # record r's first field
-
-    long_row = _long_field_row(data, sizes)
-    if long_row == 1:
-        raise _field_limit_error(path, 1)
-    header = flat[: commas[0] + 1] if sizes[0] else []  # a blank record has no field
-    key_idx, value_idx = _column_indices(header, path, key_column, value_column)
-    need = max(key_idx, value_idx)  # the commas a record needs to hold both cells
-    end, stop = ends.size, None
-    short = np.flatnonzero((commas < need) & (sizes > 0))
-    if short.size:
-        end = int(short[0])
-        stop = ParseError(f"{path}: row {end + 1} has only {commas[end] + 1} fields")
-    if long_row is not None and long_row - 1 <= end:
-        end = long_row - 1  # csv.reader fails on the field before counting them
-        stop = _field_limit_error(path, long_row)
-    if end <= 1:
-        return [], [], [], stop
-
-    body = slice(1, end)
-    if sizes[body].all() and commas[body].min() == commas[body].max():
-        width = int(commas[1]) + 1
-        first, last = int(starts[1]), int(starts[end])
-        return (
-            flat[first + key_idx : last : width],
-            flat[first + value_idx : last : width],
-            range(2, end + 1),
-            stop,
-        )
-    records = np.flatnonzero(sizes[body]) + 1
-    first = starts[records]
-    keys = list(map(flat.__getitem__, (first + key_idx).tolist()))
-    cells = list(map(flat.__getitem__, (first + value_idx).tolist()))
-    return keys, cells, (records + 1).tolist(), stop
+    if (
+        ends.size < 2
+        or sizes.min() == 0
+        or sizes.max() > csv.field_size_limit()  # bytes, so at least the characters
+        or commas.min() != commas.max()
+    ):
+        return None
+    fields = data.replace("\n", ",").split(",")
+    width = int(commas[0]) + 1
+    header = [cell.strip() for cell in fields[:width]]  # "key, value" names "value"
+    if key_column not in header or value_column not in header:
+        return None
+    keys = tuple(fields[width + header.index(key_column) :: width])
+    cells = fields[width + header.index(value_column) :: width]
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or len(set(keys)) != len(keys):
+        return None
+    return keys, values
 
 
-def _quoted_columns(text: str, path: Path, key_column: str, value_column: str) -> _Columns:
-    """Tokenize non-empty text with :mod:`csv`'s default dialect."""
+def _read_records(
+    text: str, path: Path, key_column: str, value_column: str
+) -> tuple[tuple[str, ...], list[float]]:
+    """Read non-empty text with csv's default dialect, one record at a time.
+
+    Each record is checked in file order and the first failing check raises.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)  # the text is not empty, so it holds a record
+        header = [cell.strip() for cell in next(reader)]  # the text holds a record
     except csv.Error as exc:
         raise ParseError(f"{path}: row 1: {exc}") from None
-    key_idx, value_idx = _column_indices(header, path, key_column, value_column)
+    for column in (key_column, value_column):
+        if column not in header:
+            raise MissingColumn(f"{path}: no column {column!r} in header {header}")
+    key_idx, value_idx = header.index(key_column), header.index(value_column)
     need = max(key_idx, value_idx)
-    keys: list[str] = []
-    cells: list[str] = []
-    rows: list[int] = []
+    series: dict[str, float] = {}
     row_no = 1
     try:
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue  # blank line
             if len(row) <= need:
-                return keys, cells, rows, ParseError(
-                    f"{path}: row {row_no} has only {len(row)} fields"
+                raise ParseError(f"{path}: row {row_no} has only {len(row)} fields")
+            key, cell = row[key_idx], row[value_idx]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_no}, column {value_column!r}: "
+                    f"cannot parse {cell!r} as a decimal"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {row_no}, column {value_column!r}: "
+                    f"non-finite value {cell!r}"
                 )
-            keys.append(row[key_idx])
-            cells.append(row[value_idx])
-            rows.append(row_no)
+            if key in series:
+                raise DuplicateKey(f"{path}: duplicate key {key!r} at row {row_no}")
+            series[key] = value
     except csv.Error as exc:
-        return keys, cells, rows, ParseError(f"{path}: row {row_no + 1}: {exc}")
-    return keys, cells, rows, None
-
-
-def _column_indices(
-    header: list[str], path: Path, key_column: str, value_column: str
-) -> tuple[int, int]:
-    header = [cell.strip() for cell in header]  # "key, value" names "value"
-    for column in (key_column, value_column):
-        if column not in header:
-            raise MissingColumn(f"{path}: no column {column!r} in header {header}")
-    return header.index(key_column), header.index(value_column)
-
-
-def _long_field_row(data: str, sizes: np.ndarray) -> Optional[int]:
-    """The file row of the first record holding a field csv.reader refuses."""
-    limit = csv.field_size_limit()
-    if sizes.max() <= limit:  # bytes, so at least the characters
-        return None
-    for r, line in enumerate(data.split("\n")):
-        if len(line) > limit and max(map(len, line.split(","))) > limit:
-            return r + 1
-    return None
-
-
-def _field_limit_error(path: Path, row_no: int) -> ParseError:
-    return ParseError(
-        f"{path}: row {row_no}: field larger than field limit ({csv.field_size_limit()})"
-    )
+        raise ParseError(f"{path}: row {row_no + 1}: {exc}") from None
+    if not series:
+        raise EmptyFile(f"{path}: no data rows")
+    return tuple(series), list(series.values())
 
 
 def _first_repeat(keys: Sequence[str]) -> int:

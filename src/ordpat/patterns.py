@@ -96,8 +96,9 @@ def extract_pattern(window: Sequence[float], epsilon: float = 0.0) -> OrdinalPat
         raise WindowTooShort(f"window must hold >= 2 values, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"window contains NaN or infinity: {values.tolist()}")
-    _, places = _pattern_codes(_window_keys(values, values.size - 1, 1, epsilon))
-    return OrdinalPattern(tuple(np.argsort(places[:, 0]).tolist()))  # indices by place
+    # Indices by descending key, equal keys in index order, as in the kernel.
+    keys = _window_keys(values, values.size - 1, 1, epsilon)[:, 0]
+    return OrdinalPattern(tuple(np.argsort(-keys, kind="stable").tolist()))
 
 
 def reflect(pattern: OrdinalPattern) -> OrdinalPattern:
@@ -285,8 +286,8 @@ def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.
     # neighbours at most epsilon apart chain into one group) and the key of a
     # value is minus its group number, so groups keep their descending order
     # and the indices inside a group fall back to index order.
-    if not epsilon >= 0.0:  # false for NaN as well
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:  # false for NaN as well
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     values = np.ascontiguousarray(values)
     size = values.itemsize
     n_windows = (values.size - h - 1) // stride + 1

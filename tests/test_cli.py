@@ -403,6 +403,29 @@ def test_undecodable_byte_is_single_line_error(tmp_path):
     _one_line_error(("dist", "--x", path, "--h", 2), "ParseError", path)
 
 
+def test_unparsable_watch_list_is_single_line_error(pair_files):
+    x, y = pair_files
+    for text in ("(0,1,2,3);(1,0", "(0,1,2,3) junk"):
+        args = ("rolling", "--x", x, "--y", y, "--h", 3, "--window", 30, "--watch", text)
+        _one_line_error(args, "ValueError", text)
+
+
+def test_closed_stdout_pipe_exits_without_traceback(fixtures_dir):
+    # 362,882 lines, far more than a pipe buffer holds, so the writer is
+    # still printing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordpat", "dist", "--x", fixtures_dir / "golden_x.csv",
+         "--h", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"pattern\tcount\tfreq\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() != 0
+    assert b"Traceback" not in err
+
+
 def test_cli_runs_as_module_subprocess(fixtures_dir):
     code, out, err = run_cli_bytes(
         "analyze", "--x", fixtures_dir / "golden_x.csv",
@@ -413,14 +436,15 @@ def test_cli_runs_as_module_subprocess(fixtures_dir):
 
 
 def test_nan_epsilon_is_single_line_error(fixtures_dir):
-    code, out, err = run_cli(
-        "analyze", "--x", fixtures_dir / "golden_x.csv",
-        "--y", fixtures_dir / "golden_y.csv", "--h", 3, "--epsilon", "nan",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("ordpat: error: ValueError:")
+    for epsilon in ("nan", "inf"):
+        code, out, err = run_cli(
+            "analyze", "--x", fixtures_dir / "golden_x.csv",
+            "--y", fixtures_dir / "golden_y.csv", "--h", 3, "--epsilon", epsilon,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("ordpat: error: ValueError:")
 
 
 def test_non_finite_phi_is_single_line_error(tmp_path):

@@ -504,7 +504,7 @@ def test_rolling_analysis_matches_per_slice_oracle(h, scheme, data, epsilon):
 def test_nan_or_negative_epsilon_is_rejected_everywhere():
     x = random_series(20, 50)
     y = random_series(20, 51)
-    for epsilon in (float("nan"), -1.0):
+    for epsilon in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             analyze_pair(x, y, 2, epsilon=epsilon)
         with pytest.raises(ValueError, match="epsilon"):

@@ -1,4 +1,5 @@
-from pathlib import Path
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ordpat import (
     read_csv,
 )
 from ordpat.cli import write_csv
-from ordpat.errors import OrdpatError
 
 
 def _write(path, text):
@@ -312,34 +312,46 @@ def test_align_matches_dict_join_oracle(scratch, rows_a, rows_b, terminator):
 
 
 @given(csv_texts(allow_quotes=False))
-def test_split_tokenizer_matches_csv_reader(text):
-    """On quote-free text the split tokenizer gives csv.reader's columns and stops."""
+def test_plain_columns_are_csv_readers_or_none(text):
+    """On quote-free text the fast path declines or gives csv.reader's columns."""
+    text = text.removeprefix("\ufeff")  # read_csv decodes a BOM away
     assume(text)  # read_csv refuses an empty file before tokenizing
-    path = Path("t.csv")
-    outcomes = []
-    for tokenize in (ingest._split_columns, ingest._quoted_columns):
-        try:
-            keys, cells, rows, stop = tokenize(text, path, "k", "v")
-            outcomes.append((keys, cells, list(rows), stop and str(stop)))
-        except OrdpatError as exc:
-            outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    columns = ingest._plain_columns(text, "k", "v")
+    if columns is None:
+        return
+    records = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    header = [cell.strip() for cell in records[0]]
+    k, v = header.index("k"), header.index("v")
+    assert columns[0] == tuple(row[k] for row in records[1:])
+    assert columns[1].tobytes() == np.array([float(row[v]) for row in records[1:]]).tobytes()
 
 
-def test_a_quote_anywhere_routes_through_csv_reader(tmp_path, monkeypatch):
+def test_only_files_that_are_not_plain_reach_the_exact_reader(tmp_path, monkeypatch):
     calls = []
-    for name in ("_split_columns", "_quoted_columns"):
-        original = getattr(ingest, name)
-        monkeypatch.setattr(
-            ingest, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
-        )
-    plain = _write(tmp_path / "plain.csv", "k,v\r\nd1,1.5\nd2, 2_0 \r\rd3,-3\n")
-    quoted = _write(tmp_path / "quoted.csv", 'k,v\r\n"d1",1.5\nd2, 2_0 \r\rd3,"-3"\n')
-    a, b = read_csv(plain, "k", "v"), read_csv(quoted, "k", "v")
-    assert calls == ["_split_columns", "_quoted_columns"]
-    assert a.keys == b.keys == ("d1", "d2", "d3")
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.values.tolist() == [1.5, 20.0, -3.0]
+    original = ingest._read_records
+    monkeypatch.setattr(
+        ingest, "_read_records", lambda *args: calls.append(args[1].name) or original(*args)
+    )
+    for i, text in enumerate(["k,v\nd1,1.5\nd2,2\n", "k,v\r\nd1,1.5\r\nd2,2",
+                              "k,v\r\nd1,1.5\nd2,2\r\n\r\n\n\r"]):
+        ts = read_csv(_write(tmp_path / f"plain{i}.csv", text), "k", "v")
+        assert (ts.keys, ts.values.tolist()) == (("d1", "d2"), [1.5, 2.0])
+    assert calls == []
+    ts = read_csv(_write(tmp_path / "quoted.csv", 'k,v\n"d1",1.5\nd2,"2"\n'), "k", "v")
+    assert (ts.keys, ts.values.tolist()) == (("d1", "d2"), [1.5, 2.0])
+    assert calls == ["quoted.csv"]
+    bad = {
+        "blank.csv": ("k,v\nd1,1.5\n\nd2,x\n", ParseError, "row 4, column 'v'"),
+        "short.csv": ("k,v\nd1,1.5\nd2\n", ParseError, "row 3 has only 1 fields"),
+        "cell.csv": ("k,v\nd1,1.5\nd2,abc\n", ParseError, "cannot parse 'abc'"),
+        "nan.csv": ("k,v\nd1,nan\nd2,1\n", ParseError, "row 2, column 'v': non-finite"),
+        "duplicate.csv": ("k,v\nd1,1.5\nd1,2\n", DuplicateKey, "duplicate key 'd1' at row 3"),
+    }
+    for name, (text, error, message) in bad.items():
+        calls.clear()
+        with pytest.raises(error, match=message):
+            read_csv(_write(tmp_path / name, text), "k", "v")
+        assert calls == [name]
 
 
 def test_read_csv_error_row_counts_blank_lines(tmp_path):
@@ -357,6 +369,9 @@ def test_read_csv_field_limit_is_a_parse_error(tmp_path):
                 read_csv(p, "k", "v")
     p = _write(tmp_path / "a.csv", f"k,v\nd1,1\n{long_key[1:]},2\n")
     assert len(read_csv(p, "k", "v")) == 2
+    p = _write(tmp_path / "a.csv", f"k,{long_key}\nd1,1\n")
+    with pytest.raises(ParseError, match=r"row 1: field larger than field limit \(131072\)"):
+        read_csv(p, "k", "v")
 
 
 def test_align_outputs_share_one_key_tuple():

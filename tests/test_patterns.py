@@ -313,7 +313,7 @@ def test_epsilon_kernel_matches_chaining_oracle(halves, epsilon, h):
 
 
 def test_nan_or_negative_epsilon_is_rejected():
-    for epsilon in (float("nan"), -0.5):
+    for epsilon in (float("nan"), -0.5, float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             extract_pattern((1.0, 2.0, 3.0), epsilon)
         with pytest.raises(ValueError, match="epsilon"):
