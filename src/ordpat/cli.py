@@ -158,6 +158,7 @@ def cmd_dist(args: argparse.Namespace) -> str:
                 "command": "dist",
                 "h": args.h,
                 "scheme": _scheme(args).value,
+                "epsilon": args.epsilon,
                 "total": total,
                 "rows": json_rows,
             },
@@ -208,6 +209,7 @@ def cmd_delay(args: argparse.Namespace) -> str:
                 "command": "delay",
                 "h": args.h,
                 "scheme": _scheme(args).value,
+                "epsilon": args.epsilon,
                 "dropped_x": pair.dropped_a,
                 "dropped_y": pair.dropped_b,
                 "delays": [
@@ -252,6 +254,7 @@ def cmd_rolling(args: argparse.Namespace) -> str:
                 "command": "rolling",
                 "h": args.h,
                 "scheme": _scheme(args).value,
+                "epsilon": args.epsilon,
                 "window": args.window,
                 "step": step,
                 "dropped_x": pair.dropped_a,

@@ -158,15 +158,16 @@ def coincident_reflected_counts(
         raise LengthMismatch(f"{len(seq_x)} windows vs {len(seq_y)}")
     if seq_x.order != seq_y.order:
         raise OrderMismatch(f"order {seq_x.order} vs {seq_y.order}")
-    coincident = int(np.count_nonzero(seq_x.ranks == seq_y.ranks))
-    reflected = int(np.count_nonzero(seq_x.ranks == seq_y._reflected_ranks))
+    rx, ry = seq_x._codes, seq_y._codes
+    coincident = int(np.count_nonzero(rx == ry))
+    reflected = int(np.count_nonzero(rx + ry == math.factorial(seq_x.order + 1) - 1))
     return coincident, reflected
 
 
 def _cross_sums(
     h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
 ) -> tuple[int, int]:
-    # Sum of cX*cY and of cX*cY(reflected) over the ranks. Summed over Y's
+    # Sum of cX*cY and of cX*cY(reflected) over the codes. Summed over Y's
     # windows instead, cX[ry[j]], only X's histogram is needed. The integer
     # sums are exact, so no summation order enters the baselines.
     cx = np.bincount(rx, minlength=math.factorial(h + 1))
@@ -174,13 +175,12 @@ def _cross_sums(
 
 
 def _dense_counts(dist: PatternDistribution) -> np.ndarray:
-    # Row 0: the count of each rank; row 1: the count of each reflected rank.
-    # A distribution's patterns are distinct, so are their ranks.
-    seq = PatternSequence(dist.order, WindowScheme.SLIDING, [p.indices for p in dist.counts])
-    dense = np.zeros((2, math.factorial(dist.order + 1)), dtype=np.int64)
-    counts = list(dist.counts.values())
-    dense[0, seq.ranks] = counts
-    dense[1, seq._reflected_ranks] = counts
+    # The count of each code. A distribution's patterns are distinct, so are
+    # their codes; reversed, the vector counts each reflected pattern.
+    rows = [p.indices for p in dist.counts]
+    codes = PatternSequence(dist.order, WindowScheme.SLIDING, rows)._codes
+    dense = np.zeros(math.factorial(dist.order + 1), dtype=np.int64)
+    dense[codes] = list(dist.counts.values())
     return dense
 
 
@@ -199,9 +199,8 @@ def alpha_beta(
         raise OrderMismatch(f"order {dist_x.order} vs {dist_y.order}")
     if not (0.0 <= p_eq <= 1.0 and 0.0 <= p_neq <= 1.0):
         raise ValueError(f"p_eq={p_eq} and p_neq={p_neq} must lie in [0, 1]")
-    cx = _dense_counts(dist_x)[0]
-    cy, cy_reflected = _dense_counts(dist_y)
-    cross_eq, cross_neq = int(cx @ cy), int(cx @ cy_reflected)
+    cx, cy = _dense_counts(dist_x), _dense_counts(dist_y)
+    cross_eq, cross_neq = int(cx @ cy), int(cx @ cy[::-1])
     pairs = dist_x.total * dist_y.total
     return p_eq - cross_eq / pairs, p_neq - cross_neq / pairs
 
@@ -213,10 +212,10 @@ def _z_score(count: int, n: int, base: float) -> Optional[float]:
     return (count - n * base) / math.sqrt(variance)
 
 
-def _pair_report(
-    h: int, rx: np.ndarray, ry: np.ndarray, ry_reflected: np.ndarray
-) -> DependenceReport:
-    # Ranks of X's and Y's windows, and of Y's windows read right-to-left.
+def _pair_report(h: int, rx: np.ndarray, ry: np.ndarray) -> DependenceReport:
+    # Codes of X's and Y's windows. Y's windows read right-to-left have codes
+    # (h+1)! - 1 - ry, made once here for the count and the cross sum.
+    ry_reflected = (math.factorial(h + 1) - 1) - ry
     return _report(
         h,
         rx.size,
@@ -273,7 +272,7 @@ def analyze_pair(
     _check_aligned(x, y)
     seq_x = pattern_sequence(x, h, scheme, epsilon)
     seq_y = pattern_sequence(y, h, scheme, epsilon)
-    return _pair_report(h, seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks)
+    return _pair_report(h, seq_x._codes, seq_y._codes)
 
 
 def delay_scan(
@@ -309,19 +308,20 @@ def delay_scan(
         x, h, scheme, np.maximum(-d, 0), overlap, epsilon
     )
     seq_y, y_lo, _, y_phase = stretch_sequence(y, h, scheme, np.maximum(d, 0), overlap, epsilon)
-    rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
+    rx, ry = seq_x._codes, seq_y._codes
+    size = math.factorial(h + 1)
+    ry_reflected = (size - 1) - ry  # the codes of Y's windows read right-to-left
     # Each phase in use is histogrammed once. For d >= 0 the overlap is a
     # prefix of X's phase and a suffix of Y's, for d < 0 the other way round,
     # so the delays sharing a sign and a pair of phases form one chain: with
     # the suffix side read backwards, its overlaps are the first k windows of
     # both sides. A chain's cross sums are its whole phases' minus what the
     # windows past k take off, found for every k of the chain at once.
-    size = math.factorial(h + 1)
     cx = {p: np.bincount(rx[slice(*p)], minlength=size) for p in set(map(tuple, x_phase.tolist()))}
-    cy = {  # rows: ranks, reflected ranks
-        p: np.array([np.bincount(r[slice(*p)], minlength=size) for r in (ry, ry_reflected)])
-        for p in set(map(tuple, y_phase.tolist()))
-    }
+    cy = {}  # rows: histograms of Y's codes and of its reflected codes, the first reversed
+    for p in set(map(tuple, y_phase.tolist())):
+        counts = np.bincount(ry[slice(*p)], minlength=size)
+        cy[p] = np.array((counts, counts[::-1]))
     chains: dict[tuple[bool, int, int, int, int], list[int]] = {}
     for i, (delay, px, py) in enumerate(zip(delays, x_phase.tolist(), y_phase.tolist())):
         chains.setdefault((delay >= 0, *px, *py), []).append(i)
@@ -364,8 +364,8 @@ def _cut_sums(hx: np.ndarray, hy: np.ndarray, ends_x: np.ndarray, ends_y: np.nda
     #     sum_{u in ends_x[j:]} hy[r, u] + sum_{v in ends_y[r, j:]} hx[v]
     #         - #{(s, t): s, t >= j, ends_x[s] == ends_y[r, t]}.
     # A matching pair (s, t) is counted at min(s, t), by searching sorted keys
-    # (r * (h+1)! + rank) * span + position, never with a len(ends_x) x
-    # len(ends_y) matrix. Ranks are below (h+1)!, so a key overflows int64
+    # (r * (h+1)! + code) * span + position, never with a len(ends_x) x
+    # len(ends_y) matrix. Codes are below (h+1)!, so a key overflows int64
     # only where the dense histograms could not be held.
     nx, ny = ends_x.size, ends_y.shape[1]
     span = max(nx, ny) + 1
@@ -427,29 +427,31 @@ def rolling_analysis(
     starts = np.arange(0, len(x) - window_len + 1, step)
     seq_x, lo, k, _ = stretch_sequence(x, h, scheme, starts, window_len, epsilon)
     seq_y, _, _, _ = stretch_sequence(y, h, scheme, starts, window_len, epsilon)
-    rx, ry, ry_reflected = seq_x.ranks, seq_y.ranks, seq_y._reflected_ranks
-    # Row i holds window i's rank in X, its rank in Y plus (h+1)! and its
-    # reflected rank in Y plus 2 (h+1)!, so a rolling window's rows are one
-    # contiguous run and one bincount of it gives all three histograms.
+    rx, ry = seq_x._codes, seq_y._codes
+    # Row i holds window i's code in X and its code in Y plus (h+1)!, so a
+    # rolling window's rows are one contiguous run and one bincount of it
+    # gives both histograms. Y's reflected histogram is its histogram
+    # reversed, since a reflected pattern's code is (h+1)! - 1 - code.
     size = math.factorial(h + 1)
-    keys = np.empty((rx.size, 3), dtype=np.int64)
+    keys = np.empty((rx.size, 2), dtype=np.int64)
     keys[:, 0] = rx
     np.add(ry, size, out=keys[:, 1])
-    np.add(ry_reflected, 2 * size, out=keys[:, 2])
     # Running totals of matching and of mirrored windows; each window's counts
     # are differences of two totals.
     totals = np.zeros((2, rx.size + 1), dtype=np.int32)
     np.cumsum(rx == ry, dtype=np.int32, out=totals[0, 1:])
-    np.cumsum(rx == ry_reflected, dtype=np.int32, out=totals[1, 1:])
-    watch_ranks = [lex_rank(p) for p in watch]
-    watch_keys = np.array(watch_ranks + [r + size for r in watch_ranks], dtype=np.intp)
+    np.cumsum(rx + ry == size - 1, dtype=np.int32, out=totals[1, 1:])
+    watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
+    watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
+    watch_keys = np.concatenate((watch_codes, watch_codes + size))
     m = len(watch)
     windows: list[RollingWindow] = []
     for start, a, (n_coincident, n_reflected) in zip(
         starts.tolist(), lo.tolist(), (totals[:, lo + k] - totals[:, lo]).T.tolist()
     ):
-        counts = np.bincount(keys[a : a + k].ravel(), minlength=3 * size)
-        cross_eq, cross_neq = (counts[size:].reshape(2, size) @ counts[:size]).tolist()
+        counts = np.bincount(keys[a : a + k].ravel(), minlength=2 * size)
+        cx, cy = counts[:size], counts[size:]
+        cross_eq, cross_neq = int(cy @ cx), int(cy[::-1] @ cx)
         watched = counts[watch_keys].tolist()
         windows.append(
             RollingWindow(

@@ -139,10 +139,13 @@ class PatternSequence:
     Each window is held as two small integer columns from the comparison
     kernel: where each index stands in its pattern, and how many earlier
     indices stand after it. Everything else is derived from them on first
-    use and then kept: :attr:`ranks`, the ranks of the reflected patterns,
-    and ``rows``, the read-only (n_windows, order+1) int16 matrix whose row i
-    is the index tuple of window i, which indexing and iteration read for
-    :class:`OrdinalPattern` objects.
+    use and then kept: ``_codes``, one int64 per window that all counting and
+    comparison works on (reflecting a pattern maps its code to
+    ``(order+1)! - 1 - code``); :attr:`ranks`, the lexicographic ranks, which
+    only listing patterns in order needs; and ``rows``, the read-only
+    (n_windows, order+1) int16 matrix whose row i is the index tuple of
+    window i, which indexing and iteration read for :class:`OrdinalPattern`
+    objects.
 
     ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
     rows; each row must be a permutation of ``0..order``.
@@ -176,18 +179,26 @@ class PatternSequence:
     def ranks(self) -> np.ndarray:
         """Read-only :func:`lex_rank` of every window, computed once on first use.
 
-        All pattern counting and comparison works on these integers.
+        Only listing patterns in lexicographic order needs them; counting and
+        comparison run on cheaper per-window codes.
         """
         # Index p stands at place q_p with b_p smaller indices after it, so it
         # adds the Lehmer digit b_p at place q_p: rank = sum_p b_p * (h - q_p)!.
-        return _digit_sum(self._below, _digit_tables(self.order)[0], self._places)
+        return _digit_sum(self._below, _digit_table(self.order), self._places)
 
     @cached_property
-    def _reflected_ranks(self) -> np.ndarray:
-        # Ranks of the windows read right-to-left: index p moves to place
-        # h - q_p, and the p - b_p smaller indices ahead of it now follow it.
-        index = np.arange(self.order + 1, dtype=self._below.dtype)[:, None]
-        return _digit_sum(index - self._below, _digit_tables(self.order)[1], self._places)
+    def _codes(self) -> np.ndarray:
+        # Read-only int64 code = sum_p b_p * p!, b_p in [0, p] being the earlier
+        # indices after index p: one-to-one with the patterns on [0, (h+1)!).
+        # Read right-to-left, b_p becomes p - b_p, so the reflected pattern's
+        # code is (h+1)! - 1 - code. Horner's rule runs in place on the result.
+        _check_int64(self.order)
+        codes = self._below[-1].astype(np.int64)
+        for p in range(self.order - 1, 0, -1):
+            codes *= p + 1
+            codes += self._below[p]
+        codes.setflags(write=False)
+        return codes
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -251,17 +262,20 @@ def _rows(places: np.ndarray) -> np.ndarray:
     return cols.T
 
 
-@functools.cache
-def _digit_tables(order: int) -> np.ndarray:
-    # Lehmer digit d at place q is worth d * (h - q)! in a rank (row 0) and
-    # d * q! in a reflected rank (row 1), stored at d * (h+1) + q; read-only.
+def _check_int64(order: int) -> None:
     if math.factorial(order + 1) > 2**63:
         raise UnsupportedOrder(f"ranks of order h={order} overflow 64-bit integers (h <= 19)")
-    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=np.int64)
-    digits = np.arange(order + 1, dtype=np.int64)[:, None]
-    tables = np.stack([(digits * factorials[::-1]).ravel(), (digits * factorials).ravel()])
-    tables.setflags(write=False)
-    return tables
+
+
+@functools.cache
+def _digit_table(order: int) -> np.ndarray:
+    # Lehmer digit d at place q is worth d * (h - q)! in a rank, stored at
+    # d * (h+1) + q; read-only.
+    _check_int64(order)
+    factorials = np.array([math.factorial(k) for k in range(order, -1, -1)], dtype=np.int64)
+    table = (np.arange(order + 1, dtype=np.int64)[:, None] * factorials).ravel()
+    table.setflags(write=False)
+    return table
 
 
 def _digit_sum(digits: np.ndarray, table: np.ndarray, places: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ independent of the library's vectorized code paths.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -64,6 +65,19 @@ def pair_report(
         "base_eq": sum(fx[p] / n * fy[p] / n for p in fx),
         "base_neq": sum(fx[p] / n * fy[tuple(reversed(p))] / n for p in fx),
     }
+
+
+def inversion_code(pattern: Sequence[int]) -> int:
+    """Factorial-base code of an index tuple: the sum over p of ``b_p * p!``.
+
+    ``b_p`` counts the indices q < p that the tuple lists after index p.
+    """
+    place = {index: at for at, index in enumerate(pattern)}
+    code = 0
+    for p in range(len(pattern)):
+        after = sum(1 for q in range(p) if place[q] > place[p])
+        code += after * math.factorial(p)
+    return code
 
 
 def three_point_pattern_from_increments(d1: float, d2: float) -> tuple[int, ...]:

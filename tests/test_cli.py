@@ -90,6 +90,28 @@ def test_dist_json_frequencies_sum_to_one(pair_files):
     assert sum(r["freq"] for r in payload["rows"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("dist",),
+        ("delay", "--from-delay", -2, "--to-delay", 2),
+        ("rolling", "--window", 20),
+    ],
+    ids=lambda c: c[0],
+)
+def test_json_reports_the_epsilon_used(pair_files, command):
+    x, y = pair_files
+    name, *flags = command
+    inputs = ["--x", x] if name == "dist" else ["--x", x, "--y", y]
+    args = [name, *inputs, "--h", 3, *flags, "--format", "json"]
+    _, plain, _ = run_cli(*args)
+    code, loose, err = run_cli(*args, "--epsilon", 0.25)
+    assert code == 0, err
+    assert json.loads(plain)["epsilon"] == 0.0
+    assert json.loads(loose)["epsilon"] == 0.25
+    assert list(json.loads(loose))[:4] == ["command", "h", "scheme", "epsilon"]
+
+
 def test_dist_epsilon_flag(tmp_path):
     path = tmp_path / "near.csv"
     path.write_text("key,value\n0,1.0\n1,1.0000001\n2,0.5\n")

@@ -19,6 +19,7 @@ from ordpat import (
     PatternSequence,
     SeriesTooShort,
     TimeSeries,
+    UnsupportedOrder,
     WindowScheme,
     ZeroVariance,
     alpha_beta,
@@ -550,8 +551,9 @@ def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme)
 
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_delay_scan_histograms_each_phase_once(monkeypatch, scheme):
-    # At most one bincount of X's ranks per X phase in use and two (ranks and
-    # reflected ranks) per Y phase, however many delays there are.
+    # At most one bincount of X's codes per X phase in use and one of Y's
+    # codes per Y phase, however many delays there are: Y's reflected
+    # histogram is its histogram reversed.
     import ordpat.dependence as dependence
 
     calls = []
@@ -571,7 +573,26 @@ def test_delay_scan_histograms_each_phase_once(monkeypatch, scheme):
         assert len(scan) == len(delays)
         x_phases = {max(-d, 0) % stride for d in delays}
         y_phases = {max(d, 0) % stride for d in delays}
-        assert len(calls) <= len(x_phases) + 2 * len(y_phases)
+        assert len(calls) <= len(x_phases) + len(y_phases)
+
+
+def test_orders_beyond_64_bit_codes_are_refused_before_counting():
+    # h = 20 has 21! patterns, more than int64 holds: every counting entry
+    # point refuses it before any (h+1)!-long histogram is made.
+    h, message = 20, r"ranks of order h=20 overflow 64-bit integers \(h <= 19\)"
+    x, y = random_series(h + 2, 66), random_series(h + 2, 67)
+    for scheme in WindowScheme:
+        with pytest.raises(UnsupportedOrder, match=message):
+            analyze_pair(x, y, h, scheme)
+        with pytest.raises(UnsupportedOrder, match=message):
+            delay_scan(x, y, h, scheme, [0, 1])
+        with pytest.raises(UnsupportedOrder, match=message):
+            rolling_analysis(x, y, h, scheme, h + 1, 1)
+        with pytest.raises(UnsupportedOrder, match=message):
+            coincident_reflected_counts(pattern_sequence(x, h, scheme), pattern_sequence(y, h, scheme))
+    dist = PatternDistribution.from_counts({OrdinalPattern(tuple(range(h + 1))): 1})
+    with pytest.raises(UnsupportedOrder, match=message):
+        alpha_beta(dist, dist, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("scheme", list(WindowScheme))

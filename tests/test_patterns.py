@@ -23,7 +23,12 @@ from ordpat import (
     reflect,
 )
 from ordpat.patterns import stretch_sequence
-from oracles import pattern_list, sort_pattern, three_point_pattern_from_increments
+from oracles import (
+    inversion_code,
+    pattern_list,
+    sort_pattern,
+    three_point_pattern_from_increments,
+)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -195,12 +200,26 @@ def test_rank_kernel_matches_lex_rank():
     for h, rows in _rank_kernel_cases():
         patterns = [OrdinalPattern(tuple(r)) for r in rows.tolist()]
         ranks = [lex_rank(p) for p in patterns]
-        reflected = [lex_rank(reflect(p)) for p in patterns]
+        codes = [inversion_code(p.indices) for p in patterns]
+        reflected = [inversion_code(reflect(p).indices) for p in patterns]
         for layout in ("C", "F"):  # rows as passed in, row- or column-major
             seq = PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order=layout))
             assert seq.ranks.tolist() == ranks
-            assert seq._reflected_ranks.tolist() == reflected
+            assert seq._codes.tolist() == codes
+            assert (math.factorial(h + 1) - 1 - seq._codes).tolist() == reflected
             assert seq.rows.tolist() == rows.tolist()
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_codes_are_a_bijection_onto_the_factorial_range(h):
+    rows = list(itertools.permutations(range(h + 1)))
+    seq = PatternSequence(h, WindowScheme.SLIDING, rows)
+    size = math.factorial(h + 1)
+    assert sorted(seq._codes.tolist()) == list(range(size))
+    assert seq._codes.tolist() == [inversion_code(r) for r in rows]
+    # The reflected pattern's code is (h+1)! - 1 - code.
+    assert (size - 1 - seq._codes).tolist() == [inversion_code(r[::-1]) for r in rows]
+    assert not seq._codes.flags.writeable
 
 
 def test_pattern_sequence_rejects_rows_that_are_not_permutations():
@@ -214,10 +233,14 @@ def test_pattern_sequence_rejects_rows_that_are_not_permutations():
 def test_ranks_beyond_64_bits_are_refused():
     seq = pattern_sequence(np.arange(20.0), 19)
     assert seq.ranks.tolist() == [math.factorial(20) - 1]  # (19, 18, ..., 0)
+    assert seq._codes.tolist() == [math.factorial(20) - 1]
     seq = pattern_sequence(np.arange(21.0), 20)
     assert seq[0].indices == tuple(range(20, -1, -1))  # patterns still extract
-    with pytest.raises(UnsupportedOrder):
+    message = r"ranks of order h=20 overflow 64-bit integers \(h <= 19\)"
+    with pytest.raises(UnsupportedOrder, match=message):
         seq.ranks
+    with pytest.raises(UnsupportedOrder, match=message):
+        seq._codes
 
 
 def test_rank_out_of_range():
@@ -332,11 +355,14 @@ def _kernel_inputs():
     }
 
 
-def _assert_matches_oracle(rows, ranks, reflected, expected):
+def _assert_matches_oracle(rows, ranks, codes, expected):
     patterns = [OrdinalPattern(p) for p in expected]
     assert [tuple(map(int, r)) for r in rows] == expected
     assert ranks.tolist() == [lex_rank(p) for p in patterns]
-    assert reflected.tolist() == [lex_rank(reflect(p)) for p in patterns]
+    assert codes.tolist() == [inversion_code(p) for p in expected]
+    # The reflected patterns, found by the code identity alone.
+    size = math.factorial(rows.shape[1])
+    assert (size - 1 - codes).tolist() == [inversion_code(reflect(p).indices) for p in patterns]
 
 
 @pytest.mark.parametrize("data", ["walk", "grid"])
@@ -349,7 +375,7 @@ def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
     for n in (values.size, h + 1):
         seq = pattern_sequence(values[:n], h, scheme, epsilon)
         expected = pattern_list(values[:n].tolist(), h, epsilon, stride)
-        _assert_matches_oracle(seq.rows, seq.ranks, seq._reflected_ranks, expected)
+        _assert_matches_oracle(seq.rows, seq.ranks, seq._codes, expected)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5])
@@ -368,8 +394,8 @@ def test_stretch_sequence_block_phases_match_sort_oracle(epsilon, h):
     ):
         expected = pattern_list(values[s : s + length].tolist(), h, epsilon, h)
         rows = slice(a, a + k)
-        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._reflected_ranks[rows], expected)
+        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
         # The phase's rows are every block window of values[s % h :].
         expected = pattern_list(values[s % h :].tolist(), h, epsilon, h)
         rows = slice(first, stop)
-        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._reflected_ranks[rows], expected)
+        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
