@@ -30,6 +30,7 @@ import numpy as np
 
 from .dependence import (
     DependenceReport,
+    _distinct,
     analyze_pair,
     delay_scan,
     increment_correlation,
@@ -144,7 +145,10 @@ def cmd_dist(args: argparse.Namespace) -> str:
     series = read_csv(args.x, args.key, args.value)
     seq = pattern_sequence(series, args.h, _scheme(args), args.epsilon)
     total = len(seq)
-    counts = np.bincount(seq.ranks, minlength=math.factorial(args.h + 1)).tolist()
+    distinct, seen = _distinct(seq)
+    counts = np.zeros(math.factorial(args.h + 1), dtype=np.int64)
+    counts[distinct.ranks] = seen
+    counts = counts.tolist()
 
     # permutations() yields the patterns in lexicographic rank order.
     rows = zip(itertools.permutations(range(args.h + 1)), counts)
@@ -298,7 +302,14 @@ def cmd_rolling(args: argparse.Namespace) -> str:
     return _render_table(header, rows, args.format)
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    # Written one after the other, one file would keep only series Y.
+    if Path(args.out_x).resolve() == Path(args.out_y).resolve():
+        raise ValueError(f"--out-x and --out-y both name {args.out_x}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> str:
+    _check_outputs(args)
     if args.kind == "walk":
         x, y = gaussian_walk_pair(args.n, args.seed)
     else:
@@ -316,6 +327,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def cmd_inject(args: argparse.Namespace) -> str:
+    _check_outputs(args)
     pair = _load_pair(args)
     corr_before = increment_correlation(pair.a, pair.b)
     cfg = OutlierConfig(k=args.k, magnitude=args.magnitude, seed=args.seed)

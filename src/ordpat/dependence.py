@@ -38,7 +38,7 @@ from .patterns import (
     OrdinalPattern,
     PatternSequence,
     WindowScheme,
-    _rows,
+    _code_digits,
     lex_rank,
     pattern_sequence,
     stretch_sequence,
@@ -144,10 +144,19 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
     """Count every pattern occurrence in a sequence."""
     if len(seq) == 0:
         raise EmptySequence("cannot build a distribution from zero windows")
-    _, first, cnt = np.unique(seq.ranks, return_index=True, return_counts=True)
-    rows = _rows(seq._places[:, first]).tolist()  # each distinct pattern's first occurrence
-    counts = {OrdinalPattern(tuple(row)): c for row, c in zip(rows, cnt.tolist())}
+    distinct, cnt = _distinct(seq)
+    by_rank = np.argsort(distinct.ranks)
+    rows = distinct.rows[by_rank].tolist()
+    counts = {OrdinalPattern(tuple(row)): c for row, c in zip(rows, cnt[by_rank].tolist())}
     return PatternDistribution(seq.order, counts, len(seq))
+
+
+def _distinct(seq: PatternSequence) -> tuple[PatternSequence, np.ndarray]:
+    # Each distinct pattern of seq once, in code order, and its count. Only
+    # these patterns are decoded from their codes.
+    codes, counts = np.unique(seq._codes, return_counts=True)
+    digits = _code_digits(codes, seq.order)
+    return PatternSequence._from_digits(seq.order, seq.scheme, digits), counts
 
 
 def coincident_reflected_counts(
@@ -250,6 +259,8 @@ def _report(
 
 
 def _check_aligned(x: TimeSeries, y: TimeSeries) -> None:
+    if x.keys is y.keys:  # align() gives both series one key tuple
+        return
     if len(x) != len(y):
         raise NotAligned(
             f"series {x.name!r} has {len(x)} rows, {y.name!r} has {len(y)}; "

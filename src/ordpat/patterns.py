@@ -13,7 +13,6 @@ tie-free window reverses the pattern tuple.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -136,16 +135,13 @@ def rank_to_pattern(rank: int, h: int) -> OrdinalPattern:
 class PatternSequence:
     """The ordered patterns extracted from one series under a window scheme.
 
-    Each window is held as two small integer columns from the comparison
-    kernel: where each index stands in its pattern, and how many earlier
-    indices stand after it. Everything else is derived from them on first
-    use and then kept: ``_codes``, one int64 per window that all counting and
-    comparison works on (reflecting a pattern maps its code to
-    ``(order+1)! - 1 - code``); :attr:`ranks`, the lexicographic ranks, which
-    only listing patterns in order needs; and ``rows``, the read-only
-    (n_windows, order+1) int16 matrix whose row i is the index tuple of
-    window i, which indexing and iteration read for :class:`OrdinalPattern`
-    objects.
+    Each window is stored only as its digits ``b_p``, p = 1..order: the
+    number of earlier indices q < p that stand after index p in the pattern,
+    so ``0 <= b_p <= p``. All else is derived from them on first use and then
+    kept: ``_codes``, one int64 per window that all counting and comparison
+    works on (reflecting a pattern maps its code to ``(order+1)! - 1 -
+    code``); ``rows``, the (n_windows, order+1) int16 index tuples that
+    indexing and iteration read; and :attr:`ranks`, the lexicographic ranks.
 
     ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
     rows; each row must be a permutation of ``0..order``.
@@ -164,15 +160,14 @@ class PatternSequence:
         np.put_along_axis(places, rows.T, np.arange(width, dtype=places.dtype)[:, None], axis=0)
         if (places < 0).any():
             raise ValueError(f"rows must hold permutations of 0..{order}")
-        self.order, self.scheme = order, scheme
-        self._below, self._places = _pattern_codes(-places)
+        self.order, self.scheme, self._digits = order, scheme, _pattern_codes(-places)
+        self._digits.setflags(write=False)
 
     @classmethod
-    def _from_codes(
-        cls, order: int, scheme: WindowScheme, below: np.ndarray, places: np.ndarray
-    ) -> "PatternSequence":
+    def _from_digits(cls, order: int, scheme: WindowScheme, digits: np.ndarray) -> "PatternSequence":
         seq = cls.__new__(cls)
-        seq.order, seq.scheme, seq._below, seq._places = order, scheme, below, places
+        seq.order, seq.scheme, seq._digits = order, scheme, digits
+        digits.setflags(write=False)
         return seq
 
     @cached_property
@@ -184,29 +179,38 @@ class PatternSequence:
         """
         # Index p stands at place q_p with b_p smaller indices after it, so it
         # adds the Lehmer digit b_p at place q_p: rank = sum_p b_p * (h - q_p)!.
-        return _digit_sum(self._below, _digit_table(self.order), self._places)
+        _check_int64(self.order)
+        weight = np.array([math.factorial(k) for k in range(self.order, -1, -1)], np.int64)
+        places = _decode_places(self._digits)[1:]
+        ranks = (self._digits * weight[places]).sum(axis=0, dtype=np.int64)
+        ranks.setflags(write=False)
+        return ranks
 
     @cached_property
     def _codes(self) -> np.ndarray:
-        # Read-only int64 code = sum_p b_p * p!, b_p in [0, p] being the earlier
-        # indices after index p: one-to-one with the patterns on [0, (h+1)!).
-        # Read right-to-left, b_p becomes p - b_p, so the reflected pattern's
-        # code is (h+1)! - 1 - code. Horner's rule runs in place on the result.
+        # Read-only int64 code = sum_p b_p * p!, one-to-one with the patterns
+        # on [0, (h+1)!). Read right-to-left, b_p becomes p - b_p, so the
+        # reflected pattern's code is (h+1)! - 1 - code. Horner's rule, in place.
         _check_int64(self.order)
-        codes = self._below[-1].astype(np.int64)
+        codes = self._digits[-1].astype(np.int64)
         for p in range(self.order - 1, 0, -1):
             codes *= p + 1
-            codes += self._below[p]
+            codes += self._digits[p - 1]
         codes.setflags(write=False)
         return codes
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Read-only (n_windows, order+1) int16 index tuples, built on first use."""
-        return _rows(self._places)
+        # rows[i, places[p, i]] = p, as a read-only view of the (h+1, n) transpose.
+        places = _decode_places(self._digits)
+        cols = np.empty(places.shape, dtype=np.int16)
+        np.put_along_axis(cols, places, np.arange(self.order + 1, dtype=np.int16)[:, None], axis=0)
+        cols.setflags(write=False)
+        return cols.T
 
     def __len__(self) -> int:
-        return self._places.shape[1]
+        return self._digits.shape[1]
 
     def __getitem__(self, i: int) -> OrdinalPattern:
         return OrdinalPattern(tuple(int(v) for v in self.rows[i]))
@@ -219,77 +223,67 @@ class PatternSequence:
         return tuple(self)
 
 
-#: Windows per block of the rank sums.
-_BLOCK = 8192
-
-
 def _counter_dtype(width: int) -> np.dtype:
     # The smallest signed type holding -width..width: int8 up to h = 126.
     return np.min_scalar_type(-width)
 
 
-def _pattern_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The comparison kernel: ``(below, places)`` of the windows in ``keys``.
+def _pattern_codes(keys: np.ndarray) -> np.ndarray:
+    """The comparison kernel: the (h, n_windows) digits of the windows in ``keys``.
 
     ``keys`` is (h+1, n_windows); column i holds window i's keys, and its
     pattern lists indices by descending key, equal keys earlier index first.
-    ``places[p, i]`` is where index p stands in that pattern and
-    ``below[p, i]`` counts the earlier indices q < p with a smaller key, which
-    are the earlier indices standing after p. Only the strict comparisons
-    ``keys[p] > keys[q]`` for q < p enter, one call per p.
+    Row p-1 of the result is ``b_p``: the count of earlier indices q < p with
+    a smaller key, which are the earlier indices standing after p. Only the
+    strict comparisons ``keys[p] > keys[q]`` for q < p enter, one call per p.
     """
     width, n = keys.shape
     dtype = _counter_dtype(width)
-    below = np.zeros((width, n), dtype)
-    places = np.zeros((width, n), dtype)
+    digits = np.empty((width - 1, n), dtype)
     for p in range(1, width):
         # 1 where p's key is larger than earlier index q's; bytes read as int8.
-        larger = (keys[p] > keys[:p]).view(np.int8)
-        larger.sum(axis=0, dtype=dtype, out=below[p])
-        places[:p] += larger  # p stands ahead of those earlier indices
-    # place = (later indices ahead, summed so far) + (earlier ones: p - below)
-    places -= below
-    places += np.arange(width, dtype=dtype)[:, None]
-    return below, places
+        (keys[p] > keys[:p]).view(np.int8).sum(axis=0, dtype=dtype, out=digits[p - 1])
+    return digits
 
 
-def _rows(places: np.ndarray) -> np.ndarray:
-    # rows[i, places[p, i]] = p, as a read-only view of the (h+1, n) transpose.
-    width = places.shape[0]
-    cols = np.empty(places.shape, dtype=np.int16)
-    np.put_along_axis(cols, places, np.arange(width, dtype=np.int16)[:, None], axis=0)
-    cols.setflags(write=False)
-    return cols.T
+def _sliding_digits(values: np.ndarray, h: int) -> np.ndarray:
+    # The kernel's digits of every sliding window with exact ties, by the
+    # inversion-count recurrence: with D_k[s] = #{j in 1..k : x[s-j] < x[s]},
+    # b_p(t) = D_p[t+p] and D_k = D_{k-1} + [x[s-k] < x[s]]. Row k of buf holds
+    # D_k from point k on: one comparison of two shifted slices plus row k-1
+    # read one point later. Its first N - h columns are the digits.
+    n = values.size
+    buf = np.zeros((h + 1, n), _counter_dtype(h + 1))
+    for k in range(1, h + 1):
+        row = buf[k, : n - k]
+        np.less(values[: n - k], values[k:], out=row)
+        row += buf[k - 1, 1 : n - k + 1]
+    return buf[1:, : n - h]
+
+
+def _decode_places(digits: np.ndarray) -> np.ndarray:
+    # places[p, i] is where index p stands in window i's pattern, by
+    # insertion: among indices 0..p, index p stands at p - b_p, and the
+    # earlier indices at or after that place move back one.
+    h, n = digits.shape
+    places = np.zeros((h + 1, n), digits.dtype)
+    for p in range(1, h + 1):
+        np.subtract(p, digits[p - 1], out=places[p])
+        places[:p] += places[:p] >= places[p]
+    return places
+
+
+def _code_digits(codes: np.ndarray, order: int) -> np.ndarray:
+    # The digits of codes sum_p b_p * p!, b_p in [0, p]: b_p = code // p! mod (p+1).
+    digits = np.empty((order, codes.size), _counter_dtype(order + 1))
+    for p in range(1, order + 1):
+        codes, digits[p - 1] = np.divmod(codes, p + 1)
+    return digits
 
 
 def _check_int64(order: int) -> None:
     if math.factorial(order + 1) > 2**63:
         raise UnsupportedOrder(f"ranks of order h={order} overflow 64-bit integers (h <= 19)")
-
-
-@functools.cache
-def _digit_table(order: int) -> np.ndarray:
-    # Lehmer digit d at place q is worth d * (h - q)! in a rank, stored at
-    # d * (h+1) + q; read-only.
-    _check_int64(order)
-    factorials = np.array([math.factorial(k) for k in range(order, -1, -1)], dtype=np.int64)
-    table = (np.arange(order + 1, dtype=np.int64)[:, None] * factorials).ravel()
-    table.setflags(write=False)
-    return table
-
-
-def _digit_sum(digits: np.ndarray, table: np.ndarray, places: np.ndarray) -> np.ndarray:
-    # sum_p table[digits[p] * (h+1) + places[p]] for every window, read-only
-    # int64. Index 0's digit is always 0, so its row is skipped. Blocks of
-    # windows keep the (h, block) temporaries small.
-    width, n = places.shape
-    total = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        index = np.multiply(digits[1:, lo : lo + _BLOCK], width, dtype=np.int16)
-        index += places[1:, lo : lo + _BLOCK]
-        table.take(index).sum(axis=0, out=total[lo : lo + _BLOCK])
-    total.setflags(write=False)
-    return total
 
 
 def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.ndarray:
@@ -348,8 +342,11 @@ def pattern_sequence(
             raise NonFiniteValue("series contains NaN or infinity")
     if values.size < h + 1:
         raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {values.size}")
-    codes = _pattern_codes(_window_keys(values, h, stride, epsilon))
-    return PatternSequence._from_codes(h, scheme, *codes)
+    if epsilon == 0.0 and stride == 1:
+        digits = _sliding_digits(values, h)
+    else:
+        digits = _pattern_codes(_window_keys(values, h, stride, epsilon))
+    return PatternSequence._from_digits(h, scheme, digits)
 
 
 def _stride(h: int, scheme: WindowScheme) -> int:
@@ -391,9 +388,8 @@ def stretch_sequence(
         bounds[p] = rows, rows + len(seqs[-1])
         rows += len(seqs[-1])
     if len(seqs) > 1:
-        below = np.concatenate([seq._below for seq in seqs], axis=1)
-        places = np.concatenate([seq._places for seq in seqs], axis=1)
-        seqs = [PatternSequence._from_codes(h, scheme, below, places)]
+        digits = np.concatenate([seq._digits for seq in seqs], axis=1)
+        seqs = [PatternSequence._from_digits(h, scheme, digits)]
     count = (lengths - h - 1) // stride + 1
     phase = bounds[starts % stride]
     return seqs[0], phase[:, 0] + starts // stride, count, phase

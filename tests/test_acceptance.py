@@ -35,8 +35,7 @@ from ordpat import (
     read_csv,
     reflect,
 )
-from ordpat.patterns import _pattern_codes, _rows
-from oracles import pair_counts, pattern_list, sort_pattern, three_point_pattern_from_increments
+from oracles import pair_counts, sort_pattern, three_point_pattern_from_increments
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -78,20 +77,26 @@ def test_criterion_1_brute_force_oracle_equivalence():
             assert extract_pattern(window).indices == sort_pattern(window)
 
     # Every series over alphabet {0,1,2,3} of length 3..8: the h=2 pattern
-    # sequence must equal the oracle's window-by-window list. Lengths up to 6
-    # go through pattern_sequence per series; 7 and 8 run the same extraction
-    # kernel batched, which is the code path pattern_sequence uses.
+    # sequence must equal the oracle's window-by-window list, built from
+    # sort_pattern over the 64 possible 3-value windows. Lengths up to 6 go
+    # through pattern_sequence per series; 7 and 8 run pattern_sequence once
+    # on all series of a length laid end to end, and keep each series' own
+    # windows.
+    window_oracle = {w: sort_pattern(w) for w in itertools.product(range(4), repeat=3)}
+
+    def oracle(raw):
+        return [window_oracle[raw[i : i + 3]] for i in range(len(raw) - 2)]
+
     for length in range(3, 7):
         for raw in itertools.product(range(4), repeat=length):
             seq = pattern_sequence(np.asarray(raw, dtype=float), 2)
-            assert [tuple(map(int, r)) for r in seq.rows] == pattern_list(raw, 2)
+            assert [tuple(map(int, r)) for r in seq.rows] == oracle(raw)
     for length in (7, 8):
         grid = np.array(list(itertools.product(range(4), repeat=length)), dtype=float)
-        windows = np.lib.stride_tricks.sliding_window_view(grid, 3, axis=1)
-        _, places = _pattern_codes(windows.reshape(-1, 3).T)
-        rows = _rows(places).reshape(windows.shape)
-        for i, raw in enumerate(map(tuple, grid.astype(int))):
-            assert [tuple(map(int, r)) for r in rows[i]] == pattern_list(raw, 2)
+        own = np.arange(grid.shape[0])[:, None] * length + np.arange(length - 2)
+        rows = pattern_sequence(grid.ravel(), 2).rows[own].tolist()
+        for i, raw in enumerate(map(tuple, grid.astype(int).tolist())):
+            assert list(map(tuple, rows[i])) == oracle(raw)
 
     # Pair counts. All 4096 length-3 pairs run end-to-end through
     # analyze_pair; all 65536 length-4 pairs through the counting API on
@@ -109,7 +114,7 @@ def test_criterion_1_brute_force_oracle_equivalence():
 
     raw4 = list(itertools.product(range(4), repeat=4))
     seqs4 = [pattern_sequence(np.asarray(r, dtype=float), 2) for r in raw4]
-    oracle4 = [pattern_list(r, 2) for r in raw4]
+    oracle4 = [oracle(r) for r in raw4]
     for i in range(len(raw4)):
         for j in range(len(raw4)):
             got = coincident_reflected_counts(seqs4[i], seqs4[j])

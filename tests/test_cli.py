@@ -413,6 +413,24 @@ def test_unwritable_inject_output_is_single_line_error(tmp_path, fixtures_dir):
     _one_line_error(args, "IsADirectoryError", tmp_path)
 
 
+def test_simulate_refuses_one_file_for_both_outputs(tmp_path):
+    # Two spellings of one path: written one after the other, X would be lost.
+    out = tmp_path / "a.csv"
+    args = ("simulate", "walk", "--n", 3, "--out-x", out,
+            "--out-y", tmp_path / "sub" / ".." / "a.csv")
+    (tmp_path / "sub").mkdir()
+    _one_line_error(args, "ValueError", out)
+    assert not out.exists()
+
+
+def test_inject_refuses_one_file_for_both_outputs(tmp_path, fixtures_dir):
+    gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
+    out = tmp_path / "a.csv"
+    args = ("inject", "--x", gx, "--y", gy, "--k", 1, "--out-x", out, "--out-y", out)
+    _one_line_error(args, "ValueError", out)
+    assert not out.exists()
+
+
 def test_over_long_cell_is_single_line_error(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("key,value\n" + "k" * 131073 + ",1.0\n")

@@ -228,6 +228,11 @@ def test_analyze_pair_validation():
     shuffled = TimeSeries(tuple(reversed(x.keys)), x.values, "r")
     with pytest.raises(NotAligned):
         analyze_pair(x, shuffled, 2)
+    # Distinct key tuples of equal length are still compared key by key.
+    renamed = TimeSeries(x.keys[:-1] + ("other",), x.values, "k")
+    assert renamed.keys is not x.keys
+    with pytest.raises(NotAligned, match="different keys"):
+        analyze_pair(x, renamed, 2)
     with pytest.raises(SeriesTooShort):
         analyze_pair(series([1.0, 2.0]), series([2.0, 1.0]), 2)
 

@@ -22,7 +22,7 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
-from ordpat.patterns import stretch_sequence
+from ordpat.patterns import _code_digits, stretch_sequence
 from oracles import (
     inversion_code,
     pattern_list,
@@ -202,8 +202,12 @@ def test_rank_kernel_matches_lex_rank():
         ranks = [lex_rank(p) for p in patterns]
         codes = [inversion_code(p.indices) for p in patterns]
         reflected = [inversion_code(reflect(p).indices) for p in patterns]
-        for layout in ("C", "F"):  # rows as passed in, row- or column-major
-            seq = PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order=layout))
+        # Rows as passed in, row- or column-major, and digits read off codes.
+        for seq in (
+            PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order="C")),
+            PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order="F")),
+            PatternSequence._from_digits(h, WindowScheme.SLIDING, _code_digits(np.array(codes), h)),
+        ):
             assert seq.ranks.tolist() == ranks
             assert seq._codes.tolist() == codes
             assert (math.factorial(h + 1) - 1 - seq._codes).tolist() == reflected
@@ -352,6 +356,7 @@ def _kernel_inputs():
         "walk": np.cumsum(rng.standard_normal(60)),
         # half-unit steps: exact ties, and neighbours 0.5 apart that chain
         "grid": np.cumsum(np.round(rng.standard_normal(60) * 1.5) / 2.0),
+        "constant": np.full(60, 2.5),  # every window all ties
     }
 
 
@@ -365,17 +370,26 @@ def _assert_matches_oracle(rows, ranks, codes, expected):
     assert (size - 1 - codes).tolist() == [inversion_code(reflect(p).indices) for p in patterns]
 
 
-@pytest.mark.parametrize("data", ["walk", "grid"])
+@pytest.mark.parametrize("data", ["walk", "grid", "constant"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.25, 0.5])
-@pytest.mark.parametrize("h", [1, 2, 3, 8])
+@pytest.mark.parametrize("h", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
+    # Exact sliding windows take the inversion-count recurrence, the rest the
+    # comparison kernel; both directly and through stretch_sequence.
     values = _kernel_inputs()[data]
     stride = 1 if scheme is WindowScheme.SLIDING else h
     for n in (values.size, h + 1):
         seq = pattern_sequence(values[:n], h, scheme, epsilon)
         expected = pattern_list(values[:n].tolist(), h, epsilon, stride)
         _assert_matches_oracle(seq.rows, seq.ranks, seq._codes, expected)
+        series = TimeSeries(tuple(map(str, range(n))), values[:n])
+        starts = np.array(sorted({0, (n - h - 1) // 2, n - h - 1}))
+        seq, lo, count, _ = stretch_sequence(series, h, scheme, starts, n - starts, epsilon)
+        for s, a, k in zip(starts.tolist(), lo.tolist(), count.tolist()):
+            expected = pattern_list(values[s:n].tolist(), h, epsilon, stride)
+            rows = slice(a, a + k)
+            _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5])
@@ -399,3 +413,4 @@ def test_stretch_sequence_block_phases_match_sort_oracle(epsilon, h):
         expected = pattern_list(values[s % h :].tolist(), h, epsilon, h)
         rows = slice(first, stop)
         _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
+
