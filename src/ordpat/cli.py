@@ -87,24 +87,10 @@ def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str
     return "\n".join(lines)
 
 
-def _report_fields(report: DependenceReport) -> dict:
-    return dataclasses.asdict(report)
-
-
 def _report_rows(report: DependenceReport) -> list[list[str]]:
     return [
-        ["h", str(report.h)],
-        ["n_windows", str(report.n_windows)],
-        ["n_coincident", str(report.n_coincident)],
-        ["n_reflected", str(report.n_reflected)],
-        ["p_eq", _f6(report.p_eq)],
-        ["p_neq", _f6(report.p_neq)],
-        ["base_eq", _f6(report.base_eq)],
-        ["base_neq", _f6(report.base_neq)],
-        ["alpha_tilde", _f6(report.alpha_tilde)],
-        ["beta_tilde", _f6(report.beta_tilde)],
-        ["z_eq", _opt6(report.z_eq)],
-        ["z_neq", _opt6(report.z_neq)],
+        [name, str(value) if isinstance(value, int) else _opt6(value)]
+        for name, value in dataclasses.asdict(report).items()
     ]
 
 
@@ -188,7 +174,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
                 "epsilon": args.epsilon,
                 "dropped_x": pair.dropped_a,
                 "dropped_y": pair.dropped_b,
-                "report": _report_fields(report),
+                "report": dataclasses.asdict(report),
             },
             indent=2,
         )
@@ -217,7 +203,7 @@ def cmd_delay(args: argparse.Namespace) -> str:
                 "dropped_x": pair.dropped_a,
                 "dropped_y": pair.dropped_b,
                 "delays": [
-                    {"delay": d, "report": _report_fields(rep)} for d, rep in scan
+                    {"delay": d, "report": dataclasses.asdict(rep)} for d, rep in scan
                 ],
             },
             indent=2,
@@ -270,7 +256,7 @@ def cmd_rolling(args: argparse.Namespace) -> str:
                         "watch_counts": {
                             str(p): list(c) for p, c in w.watch_counts.items()
                         },
-                        "report": _report_fields(w.report),
+                        "report": dataclasses.asdict(w.report),
                     }
                     for w in rolling
                 ],

@@ -69,11 +69,13 @@ class PatternDistribution:
             raise EmptySequence("distribution needs at least one pattern")
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
-        for p in self.counts:
+        for p, count in self.counts.items():
             if p.order != self.order:
                 raise OrderMismatch(
                     f"pattern {p} has order {p.order}, distribution has {self.order}"
                 )
+            if not isinstance(count, (int, np.integer)) or count < 0:
+                raise ValueError(f"pattern {p} has count {count!r}, not an integer >= 0")
 
     @classmethod
     def from_counts(cls, counts: Mapping[OrdinalPattern, int]) -> "PatternDistribution":

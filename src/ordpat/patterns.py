@@ -142,6 +142,8 @@ class PatternSequence:
     works on (reflecting a pattern maps its code to ``(order+1)! - 1 -
     code``); ``rows``, the (n_windows, order+1) int16 index tuples that
     indexing and iteration read; and :attr:`ranks`, the lexicographic ranks.
+    Exact windows of both schemes get their digits from the sliding
+    recurrence, the others from the comparison kernel.
 
     ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
     rows; each row must be a permutation of ``0..order``.
@@ -231,11 +233,13 @@ def _counter_dtype(width: int) -> np.dtype:
 def _pattern_codes(keys: np.ndarray) -> np.ndarray:
     """The comparison kernel: the (h, n_windows) digits of the windows in ``keys``.
 
-    ``keys`` is (h+1, n_windows); column i holds window i's keys, and its
-    pattern lists indices by descending key, equal keys earlier index first.
-    Row p-1 of the result is ``b_p``: the count of earlier indices q < p with
-    a smaller key, which are the earlier indices standing after p. Only the
-    strict comparisons ``keys[p] > keys[q]`` for q < p enter, one call per p.
+    It serves windows with ``epsilon > 0`` and explicit rows; exact windows
+    take the sliding recurrence of :func:`_sliding_digits`. ``keys`` is
+    (h+1, n_windows); column i holds window i's keys, and its pattern lists
+    indices by descending key, equal keys earlier index first. Row p-1 of
+    the result is ``b_p``: the count of earlier indices q < p with a smaller
+    key, which are the earlier indices standing after p. Only the strict
+    comparisons ``keys[p] > keys[q]`` for q < p enter, one call per p.
     """
     width, n = keys.shape
     dtype = _counter_dtype(width)
@@ -247,16 +251,18 @@ def _pattern_codes(keys: np.ndarray) -> np.ndarray:
 
 
 def _sliding_digits(values: np.ndarray, h: int) -> np.ndarray:
-    # The kernel's digits of every sliding window with exact ties, by the
-    # inversion-count recurrence: with D_k[s] = #{j in 1..k : x[s-j] < x[s]},
-    # b_p(t) = D_p[t+p] and D_k = D_{k-1} + [x[s-k] < x[s]]. Row k of buf holds
-    # D_k from point k on: one comparison of two shifted slices plus row k-1
-    # read one point later. Its first N - h columns are the digits.
+    # The kernel's digits of every sliding window with exact ties (every h-th
+    # column for block windows), by the inversion-count recurrence: with
+    # D_k[s] = #{j in 1..k : x[s-j] < x[s]}, b_p(t) = D_p[t+p] and D_k =
+    # D_{k-1} + [x[s-k] < x[s]]. Row k of buf holds D_k from point k on: one
+    # comparison of two shifted slices plus row k-1 read one point later. Its
+    # first N - h columns are the digits. The comparison writes its 0/1 bytes
+    # through a bool view, with no cast to int8.
     n = values.size
     buf = np.zeros((h + 1, n), _counter_dtype(h + 1))
     for k in range(1, h + 1):
         row = buf[k, : n - k]
-        np.less(values[: n - k], values[k:], out=row)
+        np.less(values[: n - k], values[k:], out=row.view(np.bool_))
         row += buf[k - 1, 1 : n - k + 1]
     return buf[1:, : n - h]
 
@@ -288,12 +294,13 @@ def _check_int64(order: int) -> None:
 
 def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.ndarray:
     # The (h+1, n_windows) key matrix of the windows starting at 0, stride,
-    # 2*stride, ... With epsilon == 0 the keys are the values themselves, read
-    # through a strided view: keys[p, t] = values[t * stride + p]. With
-    # epsilon > 0, a stable sort finds each window's tie groups (sorted
-    # neighbours at most epsilon apart chain into one group) and the key of a
-    # value is minus its group number, so groups keep their descending order
-    # and the indices inside a group fall back to index order.
+    # 2*stride, ..., read through a strided view: keys[p, t] = values[t *
+    # stride + p]. With epsilon == 0 (one window of extract_pattern) the keys
+    # are those values themselves. With epsilon > 0, a stable sort finds each
+    # window's tie groups (sorted neighbours at most epsilon apart chain into
+    # one group) and the key of a value is minus its group number, so groups
+    # keep their descending order and the indices inside a group fall back
+    # to index order.
     if not 0.0 <= epsilon < math.inf:  # false for NaN as well
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     values = np.ascontiguousarray(values)
@@ -303,10 +310,6 @@ def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.
     # info until it dies, so exporting the caller's array would leave some
     # on every series ever extracted.
     keys = np.ndarray((h + 1, n_windows), values.dtype, values[:], 0, (size, size * stride))
-    if stride > 1:
-        # One copy of about N values; comparing rows read with a stride of h
-        # values is several times slower than comparing contiguous ones.
-        keys = keys.copy()
     if epsilon > 0.0:
         order = np.argsort(-keys, axis=0, kind="stable")
         cols = np.arange(n_windows)
@@ -342,8 +345,8 @@ def pattern_sequence(
             raise NonFiniteValue("series contains NaN or infinity")
     if values.size < h + 1:
         raise SeriesTooShort(f"need >= {h + 1} points for order h={h}, got {values.size}")
-    if epsilon == 0.0 and stride == 1:
-        digits = _sliding_digits(values, h)
+    if epsilon == 0.0:
+        digits = _sliding_digits(values, h)[:, ::stride]
     else:
         digits = _pattern_codes(_window_keys(values, h, stride, epsilon))
     return PatternSequence._from_digits(h, scheme, digits)
@@ -368,11 +371,12 @@ def stretch_sequence(
 
     Returns ``(seq, lo, count, phase)``: the windows of stretch i are rows
     ``lo[i] : lo[i] + count[i]`` of ``seq``, and its phase's windows are rows
-    ``phase[i, 0] : phase[i, 1]``. Each phase ``p = start % stride`` in use
-    (SLIDING has only phase 0) is extracted once, as
-    ``pattern_sequence(values[p:], h, scheme, epsilon)``; the phases are
-    joined in order, so the window starting at point s is row
-    ``phase[i, 0] + s // stride`` for any stretch i in the phase of s.
+    ``phase[i, 0] : phase[i, 1]``. The phases ``p = start % stride`` in use
+    (SLIDING has only phase 0) are joined in order, so the window starting
+    at point s is row ``phase[i, 0] + s // stride`` for any stretch i in the
+    phase of s. Exact input is extracted once, phase p being the sliding
+    digit columns ``p::stride``; with ``epsilon > 0`` each phase in use is
+    extracted once, as ``pattern_sequence(values[p:], h, scheme, epsilon)``.
     """
     stride = _stride(h, scheme)
     starts = np.asarray(starts, dtype=np.int64)
@@ -380,16 +384,17 @@ def stretch_sequence(
     # adds about 10 ms to a CLI call. With no stretch, phase 0 still checks
     # the series.
     phases = sorted(set((starts % stride).tolist())) or [0]
+    if epsilon == 0.0:
+        sliding = pattern_sequence(series, h, WindowScheme.SLIDING)._digits
+        parts = [sliding[:, p::stride] for p in phases]
+    else:
+        parts = [pattern_sequence(series.values[p:], h, scheme, epsilon)._digits for p in phases]
+    sizes = [part.shape[1] for part in parts]
+    stops = np.cumsum(sizes)
     bounds = np.zeros((stride, 2), dtype=np.int64)  # each phase's rows [first, stop)
-    seqs: list[PatternSequence] = []
-    rows = 0
-    for p in phases:
-        seqs.append(pattern_sequence(series.values[p:], h, scheme, epsilon))
-        bounds[p] = rows, rows + len(seqs[-1])
-        rows += len(seqs[-1])
-    if len(seqs) > 1:
-        digits = np.concatenate([seq._digits for seq in seqs], axis=1)
-        seqs = [PatternSequence._from_digits(h, scheme, digits)]
+    bounds[phases] = np.column_stack((stops - sizes, stops))
+    digits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    seq = PatternSequence._from_digits(h, scheme, digits)
     count = (lengths - h - 1) // stride + 1
     phase = bounds[starts % stride]
-    return seqs[0], phase[:, 0] + starts // stride, count, phase
+    return seq, phase[:, 0] + starts // stride, count, phase

@@ -94,6 +94,17 @@ def test_from_counts_round_trip():
     assert dist.freq(OrdinalPattern((2, 1, 0))) == 0.75
 
 
+def test_from_counts_refuses_negative_and_fractional_counts():
+    up, down = OrdinalPattern((0, 1, 2)), OrdinalPattern((2, 1, 0))
+    for counts in ({up: 3, down: -1}, {up: 2.5, down: 0.5}, {up: 2.0, down: 1}):
+        with pytest.raises(ValueError, match=r"pattern \(\d,\d,\d\) has count"):
+            PatternDistribution.from_counts(counts)
+    with pytest.raises(ValueError, match=r"pattern \(2,1,0\) has count -1"):
+        PatternDistribution(2, {up: 3, down: -1}, 2)
+    dist = PatternDistribution.from_counts({up: np.int64(3), down: 0, OrdinalPattern((1, 0, 2)): 1})
+    assert (dist.total, dist.freq(up), dist.freq(down)) == (4, 0.75, 0.0)
+
+
 # --- pairwise counts ---------------------------------------------------------------
 
 
@@ -519,9 +530,12 @@ def test_nan_or_negative_epsilon_is_rejected_everywhere():
             rolling_analysis(x, y, 2, WindowScheme.SLIDING, 10, 10, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
-def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme):
-    # Sliding: each series once. Block: each series once per phase in use.
+def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme, epsilon):
+    # Exact input: one sliding extraction per series, whatever the scheme and
+    # the phases (block windows are every h-th sliding one). With epsilon:
+    # sliding, each series once; block, each series once per phase in use.
     import ordpat.dependence as dependence
     import ordpat.patterns as patterns
 
@@ -538,16 +552,18 @@ def test_delay_and_rolling_extract_each_window_at_most_once(monkeypatch, scheme)
     x, y = random_series(n, 60), random_series(n, 61)
     delays, starts = range(-10, 11), range(0, n - 50 + 1, 7)
     calls = [  # (call, first points read in X, first points read in Y)
-        (lambda: delay_scan(x, y, h, scheme, delays), [max(-d, 0) for d in delays],
+        (lambda: delay_scan(x, y, h, scheme, delays, epsilon), [max(-d, 0) for d in delays],
          [max(d, 0) for d in delays]),
-        (lambda: delay_scan(x, y, h, scheme, [0, h, -2 * h]), [0, 2 * h], [0, h]),
-        (lambda: rolling_analysis(x, y, h, scheme, 50, 7), starts, starts),
-        (lambda: rolling_analysis(x, y, h, scheme, 50, h), [0], [0]),
+        (lambda: delay_scan(x, y, h, scheme, [0, h, -2 * h], epsilon), [0, 2 * h], [0, h]),
+        (lambda: rolling_analysis(x, y, h, scheme, 50, 7, epsilon=epsilon), starts, starts),
+        (lambda: rolling_analysis(x, y, h, scheme, 50, h, epsilon=epsilon), [0], [0]),
     ]
     for call, x_points, y_points in calls:
         extracted.clear()
         call()
-        if scheme is WindowScheme.SLIDING:
+        if epsilon == 0.0:
+            assert extracted == [n - h, n - h]
+        elif scheme is WindowScheme.SLIDING:
             assert sum(extracted) <= 2 * (n - h)
         else:
             phases = len({p % h for p in x_points}) + len({p % h for p in y_points})

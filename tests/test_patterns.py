@@ -375,12 +375,15 @@ def _assert_matches_oracle(rows, ranks, codes, expected):
 @pytest.mark.parametrize("h", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
-    # Exact sliding windows take the inversion-count recurrence, the rest the
-    # comparison kernel; both directly and through stretch_sequence.
+    # Exact windows of both schemes take the inversion-count recurrence, the
+    # rest the comparison kernel; both directly and through stretch_sequence.
+    # A block window is the sliding window starting at a multiple of h.
     values = _kernel_inputs()[data]
     stride = 1 if scheme is WindowScheme.SLIDING else h
     for n in (values.size, h + 1):
         seq = pattern_sequence(values[:n], h, scheme, epsilon)
+        sliding = pattern_sequence(values[:n], h, WindowScheme.SLIDING, epsilon)
+        assert np.array_equal(seq._codes, sliding._codes[::stride])
         expected = pattern_list(values[:n].tolist(), h, epsilon, stride)
         _assert_matches_oracle(seq.rows, seq.ranks, seq._codes, expected)
         series = TimeSeries(tuple(map(str, range(n))), values[:n])
