@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,9 @@ from .synth import Ar1Config, OutlierConfig, correlated_ar1_pair, gaussian_walk_
 # (h+1)! rows must stay materializable in a frequency table.
 MAX_ORDER = 8
 
+# simulate ar1's coefficient and noise correlation when --phi/--rho are not given.
+AR1_PHI, AR1_RHO = 0.99, -0.8
+
 
 def write_csv(
     series: TimeSeries,
@@ -66,11 +69,10 @@ def write_csv(
 # --- formatting helpers --------------------------------------------------------
 
 
-def _f6(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _opt6(value: Optional[float]) -> str:
+def _f6(value: int | float | None) -> str:
+    """The one rule for printed numbers: ints as is, floats to 6 places, None as nan."""
+    if isinstance(value, int):
+        return str(value)
     return "nan" if value is None else f"{value:.6f}"
 
 
@@ -88,10 +90,23 @@ def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str
 
 
 def _report_rows(report: DependenceReport) -> list[list[str]]:
-    return [
-        [name, str(value) if isinstance(value, int) else _opt6(value)]
-        for name, value in dataclasses.asdict(report).items()
-    ]
+    return [[name, _f6(value)] for name, value in dataclasses.asdict(report).items()]
+
+
+# The report columns of one delay or rolling row.
+_SCAN_FIELDS = ("n_windows", "n_coincident", "n_reflected", "alpha_tilde", "beta_tilde")
+
+
+def _scan_cells(report: DependenceReport) -> list[str]:
+    return [_f6(getattr(report, name)) for name in _SCAN_FIELDS]
+
+
+def _head(args: argparse.Namespace) -> dict:
+    return {"command": args.command, "h": args.h, "scheme": args.mode, "epsilon": args.epsilon}
+
+
+def _dropped(pair: AlignResult) -> dict:
+    return {"dropped_x": pair.dropped_a, "dropped_y": pair.dropped_b}
 
 
 # One parenthesised group of indices, e.g. "(3, 1,2,0)".
@@ -115,9 +130,12 @@ def _scheme(args: argparse.Namespace) -> WindowScheme:
     return WindowScheme(args.mode)
 
 
+def _value_columns(args: argparse.Namespace) -> tuple[str, str]:
+    return args.x_value or args.value, args.y_value or args.value
+
+
 def _load_pair(args: argparse.Namespace) -> AlignResult:
-    x_value = args.x_value or args.value
-    y_value = args.y_value or args.value
+    x_value, y_value = _value_columns(args)
     x = read_csv(args.x, args.key, x_value)
     y = read_csv(args.y, args.key, y_value)
     return align(x, y)
@@ -143,22 +161,12 @@ def cmd_dist(args: argparse.Namespace) -> str:
             {"pattern": list(indices), "count": count, "freq": count / total}
             for indices, count in rows
         ]
-        return json.dumps(
-            {
-                "command": "dist",
-                "h": args.h,
-                "scheme": _scheme(args).value,
-                "epsilon": args.epsilon,
-                "total": total,
-                "rows": json_rows,
-            },
-            indent=2,
-        )
+        return json.dumps({**_head(args), "total": total, "rows": json_rows}, indent=2)
     table_rows = [
-        [pattern_label(indices), str(count), _f6(count / total)]
+        [pattern_label(indices), _f6(count), _f6(count / total)]
         for indices, count in rows
     ]
-    table_rows.append(["total", str(total), _f6(total / total)])
+    table_rows.append(["total", _f6(total), _f6(total / total)])
     return _render_table(["pattern", "count", "freq"], table_rows, args.format)
 
 
@@ -167,20 +175,13 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     pair = _load_pair(args)
     report = analyze_pair(pair.a, pair.b, args.h, _scheme(args), args.epsilon)
     if args.format == "json":
+        head = _head(args)
+        del head["h"]  # the report carries it
         return json.dumps(
-            {
-                "command": "analyze",
-                "scheme": _scheme(args).value,
-                "epsilon": args.epsilon,
-                "dropped_x": pair.dropped_a,
-                "dropped_y": pair.dropped_b,
-                "report": dataclasses.asdict(report),
-            },
-            indent=2,
+            {**head, **_dropped(pair), "report": dataclasses.asdict(report)}, indent=2
         )
     rows = _report_rows(report)
-    rows.append(["dropped_x", str(pair.dropped_a)])
-    rows.append(["dropped_y", str(pair.dropped_b)])
+    rows += [[name, _f6(count)] for name, count in _dropped(pair).items()]
     return _render_table(["field", "value"], rows, args.format)
 
 
@@ -194,40 +195,10 @@ def cmd_delay(args: argparse.Namespace) -> str:
     delays = range(args.from_delay, args.to_delay + 1)
     scan = delay_scan(pair.a, pair.b, args.h, _scheme(args), delays, args.epsilon)
     if args.format == "json":
-        return json.dumps(
-            {
-                "command": "delay",
-                "h": args.h,
-                "scheme": _scheme(args).value,
-                "epsilon": args.epsilon,
-                "dropped_x": pair.dropped_a,
-                "dropped_y": pair.dropped_b,
-                "delays": [
-                    {"delay": d, "report": dataclasses.asdict(rep)} for d, rep in scan
-                ],
-            },
-            indent=2,
-        )
-    header = [
-        "delay",
-        "n_windows",
-        "n_coincident",
-        "n_reflected",
-        "alpha_tilde",
-        "beta_tilde",
-    ]
-    rows = [
-        [
-            str(d),
-            str(rep.n_windows),
-            str(rep.n_coincident),
-            str(rep.n_reflected),
-            _f6(rep.alpha_tilde),
-            _f6(rep.beta_tilde),
-        ]
-        for d, rep in scan
-    ]
-    return _render_table(header, rows, args.format)
+        rows = [{"delay": d, "report": dataclasses.asdict(rep)} for d, rep in scan]
+        return json.dumps({**_head(args), **_dropped(pair), "delays": rows}, indent=2)
+    rows = [[_f6(d), *_scan_cells(rep)] for d, rep in scan]
+    return _render_table(["delay", *_SCAN_FIELDS], rows, args.format)
 
 
 def cmd_rolling(args: argparse.Namespace) -> str:
@@ -239,52 +210,27 @@ def cmd_rolling(args: argparse.Namespace) -> str:
         pair.a, pair.b, args.h, _scheme(args), args.window, step, watch, args.epsilon
     )
     if args.format == "json":
-        return json.dumps(
+        windows = [
             {
-                "command": "rolling",
-                "h": args.h,
-                "scheme": _scheme(args).value,
-                "epsilon": args.epsilon,
-                "window": args.window,
-                "step": step,
-                "dropped_x": pair.dropped_a,
-                "dropped_y": pair.dropped_b,
-                "windows": [
-                    {
-                        "from": w.start_key,
-                        "to": w.end_key,
-                        "watch_counts": {
-                            str(p): list(c) for p, c in w.watch_counts.items()
-                        },
-                        "report": dataclasses.asdict(w.report),
-                    }
-                    for w in rolling
-                ],
-            },
+                "from": w.start_key,
+                "to": w.end_key,
+                "watch_counts": {str(p): list(c) for p, c in w.watch_counts.items()},
+                "report": dataclasses.asdict(w.report),
+            }
+            for w in rolling
+        ]
+        return json.dumps(
+            {**_head(args), "window": args.window, "step": step, **_dropped(pair),
+             "windows": windows},
             indent=2,
         )
-    watch_used: tuple[OrdinalPattern, ...] = ()
-    if len(rolling) > 0:
-        watch_used = tuple(rolling.windows[0].watch_counts)
-    header = ["from", "to", "n_windows", "n_coincident", "n_reflected",
-              "alpha_tilde", "beta_tilde"]
-    for p in watch_used:
-        header += [f"x{p}", f"y{p}"]
-    rows = []
-    for w in rolling:
-        row = [
-            w.start_key,
-            w.end_key,
-            str(w.report.n_windows),
-            str(w.report.n_coincident),
-            str(w.report.n_reflected),
-            _f6(w.report.alpha_tilde),
-            _f6(w.report.beta_tilde),
-        ]
-        for p in watch_used:
-            nx, ny = w.watch_counts[p]
-            row += [str(nx), str(ny)]
-        rows.append(row)
+    watch_used = tuple(rolling.windows[0].watch_counts)
+    header = ["from", "to", *_SCAN_FIELDS, *(f"{s}{p}" for p in watch_used for s in "xy")]
+    rows = [
+        [w.start_key, w.end_key, *_scan_cells(w.report),
+         *(_f6(n) for p in watch_used for n in w.watch_counts[p])]
+        for w in rolling
+    ]
     return _render_table(header, rows, args.format)
 
 
@@ -297,11 +243,14 @@ def _check_outputs(args: argparse.Namespace) -> None:
 def cmd_simulate(args: argparse.Namespace) -> str:
     _check_outputs(args)
     if args.kind == "walk":
+        for name in ("phi", "rho"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} applies to simulate ar1 only")
         x, y = gaussian_walk_pair(args.n, args.seed)
     else:
-        x, y = correlated_ar1_pair(
-            Ar1Config(n=args.n, phi=args.phi, rho=args.rho, seed=args.seed)
-        )
+        phi = AR1_PHI if args.phi is None else args.phi
+        rho = AR1_RHO if args.rho is None else args.rho
+        x, y = correlated_ar1_pair(Ar1Config(n=args.n, phi=phi, rho=rho, seed=args.seed))
     write_csv(x, args.out_x)
     write_csv(y, args.out_y)
     return "\n".join(
@@ -322,18 +271,17 @@ def cmd_inject(args: argparse.Namespace) -> str:
     reports = {
         h: analyze_pair(out_x, out_y, h, WindowScheme.SLIDING) for h in (2, 3)
     }
-    x_value = args.x_value or args.value
-    y_value = args.y_value or args.value
+    x_value, y_value = _value_columns(args)
     write_csv(out_x, args.out_x, args.key, x_value)
     write_csv(out_y, args.out_y, args.key, y_value)
     rows = [
-        ["n", str(len(out_x))],
-        ["k", str(args.k)],
+        ["n", _f6(len(out_x))],
+        ["k", _f6(args.k)],
         ["magnitude", _f6(args.magnitude)],
         ["corr_before", _f6(corr_before)],
         ["corr_after", _f6(corr_after)],
-        ["reflected_h2", str(reports[2].n_reflected)],
-        ["reflected_h3", str(reports[3].n_reflected)],
+        ["reflected_h2", _f6(reports[2].n_reflected)],
+        ["reflected_h3", _f6(reports[3].n_reflected)],
         ["wrote_x", str(args.out_x)],
         ["wrote_y", str(args.out_y)],
     ]
@@ -354,7 +302,16 @@ def _add_common(p: argparse.ArgumentParser, pair: bool) -> None:
         p.add_argument("--y-value", default=None, help="override value column for --y")
 
 
-def _add_analysis(p: argparse.ArgumentParser) -> None:
+def _analysis_parser(
+    sub: argparse._SubParsersAction,
+    name: str,
+    help: str,
+    func: Callable[[argparse.Namespace], str],
+    pair: bool,
+) -> argparse.ArgumentParser:
+    """A subcommand with the input, analysis and format flags of dist/analyze/delay/rolling."""
+    p = sub.add_parser(name, help=help)
+    _add_common(p, pair)
     p.add_argument("--h", type=int, required=True, help=f"pattern order, 1..{MAX_ORDER}")
     p.add_argument(
         "--mode",
@@ -368,13 +325,12 @@ def _add_analysis(p: argparse.ArgumentParser) -> None:
         default=0.0,
         help="treat values within this tolerance as tied (default: 0)",
     )
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=["tsv", "md", "json"], default="tsv",
         help="output format (default: tsv)",
     )
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,30 +340,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", help="pattern frequency table for one series")
-    _add_common(p, pair=False)
-    _add_analysis(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_dist)
+    _analysis_parser(sub, "dist", "pattern frequency table for one series", cmd_dist, False)
+    _analysis_parser(sub, "analyze", "dependence report for a series pair", cmd_analyze, True)
 
-    p = sub.add_parser("analyze", help="dependence report for a series pair")
-    _add_common(p, pair=True)
-    _add_analysis(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("delay", help="dependence reports over a range of shifts")
-    _add_common(p, pair=True)
-    _add_analysis(p)
-    _add_format(p)
+    p = _analysis_parser(
+        sub, "delay", "dependence reports over a range of shifts", cmd_delay, True
+    )
     p.add_argument("--from-delay", type=int, required=True, help="first shift")
     p.add_argument("--to-delay", type=int, required=True, help="last shift (inclusive)")
-    p.set_defaults(func=cmd_delay)
 
-    p = sub.add_parser("rolling", help="dependence reports over consecutive windows")
-    _add_common(p, pair=True)
-    _add_analysis(p)
-    _add_format(p)
+    p = _analysis_parser(
+        sub, "rolling", "dependence reports over consecutive windows", cmd_rolling, True
+    )
     p.add_argument("--window", type=int, required=True, help="observations per window")
     p.add_argument(
         "--step", type=int, default=None,
@@ -417,13 +361,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--watch", default=None,
         help='patterns to count per window, e.g. "(0,1,2,3),(0,3,2,1)"',
     )
-    p.set_defaults(func=cmd_rolling)
 
     p = sub.add_parser("simulate", help="write a synthetic series pair as CSV")
     p.add_argument("kind", choices=["walk", "ar1"], help="generator")
     p.add_argument("--n", type=int, required=True, help="series length")
-    p.add_argument("--phi", type=float, default=0.99, help="AR(1) coefficient")
-    p.add_argument("--rho", type=float, default=-0.8, help="noise correlation")
+    p.add_argument(
+        "--phi", type=float, default=None,
+        help=f"AR(1) coefficient, ar1 only (default: {AR1_PHI})",
+    )
+    p.add_argument(
+        "--rho", type=float, default=None,
+        help=f"noise correlation, ar1 only (default: {AR1_RHO})",
+    )
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out-x", required=True, help="output CSV for series X")
     p.add_argument("--out-y", required=True, help="output CSV for series Y")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -293,7 +293,7 @@ def delay_scan(
     y: TimeSeries,
     h: int,
     scheme: WindowScheme,
-    delays: Sequence[int],
+    delays: Iterable[int],
     epsilon: float = 0.0,
 ) -> list[tuple[int, DependenceReport]]:
     """Reports for the pair with Y shifted by each delay.
@@ -301,17 +301,20 @@ def delay_scan(
     Positive delay d compares X's window starting at i with Y's window
     starting at i + d (Y later in key order); negative d shifts X instead.
     Each report is computed on the overlapping region only, so d = 0
-    reproduces :func:`analyze_pair` exactly.
+    reproduces :func:`analyze_pair` exactly. The first delay that leaves
+    fewer than h + 1 overlapping points raises before any later one is read.
     """
     _check_aligned(x, y)
     n = len(x)
-    delays = [int(d) for d in delays]
-    for d in delays:
+    checked: list[int] = []
+    for d in map(int, delays):
         if n - abs(d) < h + 1:
             raise DelayTooLarge(
                 f"delay {d} leaves {max(n - abs(d), 0)} overlapping points, "
                 f"need >= {h + 1}"
             )
+        checked.append(d)
+    delays = checked
     d = np.array(delays, dtype=np.int64)
     overlap = n - np.abs(d)
     # The overlap starts at point max(-d, 0) of X and max(d, 0) of Y; each
@@ -482,8 +485,18 @@ def increment_correlation(x: TimeSeries, y: TimeSeries) -> float:
     _check_aligned(x, y)
     if len(x) < 3:
         raise SeriesTooShort(f"need >= 3 points for increments, got {len(x)}")
-    dx = np.diff(x.values)
-    dy = np.diff(y.values)
+    # Two halved floats differ by at most the largest float, so the
+    # increments of values near +-1e308 stay finite.
+    dx = _unit_scaled(np.diff(x.values / 2))
+    dy = _unit_scaled(np.diff(y.values / 2))
     if dx.std() == 0.0 or dy.std() == 0.0:
         raise ZeroVariance("an increment series is constant")
     return float(np.corrcoef(dx, dy)[0, 1])
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    # Scaling by a power of two is exact and leaves the correlation as it
+    # was; with every magnitude below 1, the sums of squares inside std and
+    # corrcoef cannot overflow.
+    _, exponent = np.frexp(np.max(np.abs(v)))
+    return np.ldexp(v, -exponent)

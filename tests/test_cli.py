@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -225,6 +226,25 @@ def test_delay_range_and_zero_row_matches_analyze(pair_files):
     assert cells[5] == fields["beta_tilde"]
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
+@pytest.mark.parametrize(
+    "golden, flags",
+    [
+        ("golden_delay_h3", ("delay", "--from-delay", -3, "--to-delay", 3)),
+        ("golden_rolling_h3_w60", ("rolling", "--window", 60)),
+    ],
+    ids=["delay", "rolling"],
+)
+def test_delay_and_rolling_golden_fixture_frozen_output(fixtures_dir, golden, flags, fmt):
+    name, *rest = flags
+    code, out, err = run_cli(
+        name, "--x", fixtures_dir / "golden_x.csv", "--y", fixtures_dir / "golden_y.csv",
+        "--h", 3, *rest, "--format", fmt,
+    )
+    assert code == 0, err
+    assert out == (fixtures_dir / f"{golden}.{fmt}").read_text()
+
+
 def test_delay_overflow_is_single_line_error(pair_files):
     x, y = pair_files
     code, out, err = run_cli(
@@ -313,6 +333,25 @@ def test_simulate_ar1_reflected_count_at_scale(tmp_path):
     assert 2950 <= int(fields["n_reflected"]) <= 3250  # Monte Carlo band
 
 
+@pytest.mark.parametrize("flag, value", [("--phi", 5), ("--rho", 3)])
+def test_simulate_walk_refuses_ar1_flags(tmp_path, flag, value):
+    out_x = tmp_path / "x.csv"
+    code, out, err = run_cli("simulate", "walk", "--n", 50, flag, value,
+                             "--out-x", out_x, "--out-y", tmp_path / "y.csv")
+    assert (code, out) == (1, "")
+    assert err == f"ordpat: error: ValueError: {flag} applies to simulate ar1 only\n"
+    assert not out_x.exists()
+
+
+def test_simulate_ar1_defaults(tmp_path):
+    run_cli("simulate", "ar1", "--n", 40, "--seed", 2,
+            "--out-x", tmp_path / "x1.csv", "--out-y", tmp_path / "y1.csv")
+    run_cli("simulate", "ar1", "--n", 40, "--seed", 2, "--phi", 0.99, "--rho", -0.8,
+            "--out-x", tmp_path / "x2.csv", "--out-y", tmp_path / "y2.csv")
+    assert (tmp_path / "x1.csv").read_bytes() == (tmp_path / "x2.csv").read_bytes()
+    assert (tmp_path / "y1.csv").read_bytes() == (tmp_path / "y2.csv").read_bytes()
+
+
 def test_inject_zero_outliers_keeps_files_byte_identical(tmp_path):
     run_cli("simulate", "ar1", "--n", 50, "--phi", 0.0, "--rho", 0.0, "--seed", 3,
             "--out-x", tmp_path / "x.csv", "--out-y", tmp_path / "y.csv")
@@ -341,6 +380,17 @@ def test_inject_summary_reports_correlation_swing(tmp_path):
     assert 55 <= int(fields["reflected_h2"]) <= 135
     ox = read_csv(tmp_path / "ox.csv", "key", "value")
     assert (ox.values == 10.0).sum() == 12
+
+
+def test_inject_huge_magnitude_keeps_correlation_finite(tmp_path, fixtures_dir):
+    code, out, err = run_cli_bytes(
+        "inject", "--x", fixtures_dir / "golden_x.csv", "--y", fixtures_dir / "golden_y.csv",
+        "--k", 3, "--magnitude", 1e308,
+        "--out-x", tmp_path / "x.csv", "--out-y", tmp_path / "y.csv",
+    )
+    assert (code, err) == (0, b"")
+    fields = dict(l.split("\t") for l in out.decode().strip().split("\n")[1:])
+    assert math.isfinite(float(fields["corr_after"]))
 
 
 def test_inject_too_many_outliers_errors(tmp_path):

@@ -280,6 +280,19 @@ def test_delay_too_large():
     assert scan[0][1].n_windows == 1
 
 
+def test_delay_scan_refuses_a_delay_before_reading_the_rest():
+    x, y = random_series(50, 18), random_series(50, 19)
+
+    def delays():
+        yield from (0, 1, 10**9)
+        for pulled in itertools.count(4):
+            assert pulled <= 1000, "delay_scan read on past an out-of-range delay"
+            yield 0
+
+    with pytest.raises(DelayTooLarge, match=r"^delay 1000000000 leaves 0 overlapping points"):
+        delay_scan(x, y, 2, WindowScheme.SLIDING, delays())
+
+
 def test_delay_shift_collapses_ar1_dependence():
     # strong reflected dependence at zero delay vanishes one step away
     from ordpat import Ar1Config, correlated_ar1_pair
@@ -392,6 +405,16 @@ def test_increment_correlation_negation():
     x = random_series(50, 42)
     y = TimeSeries(x.keys, -x.values, "neg")
     assert increment_correlation(x, y) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_increment_correlation_near_the_largest_float(scale):
+    rng = np.random.default_rng(46)
+    x, y = series(rng.uniform(-1, 1, 200)), series(rng.uniform(-1, 1, 200))
+    expected = increment_correlation(x, y)
+    huge = increment_correlation(series(x.values * scale), series(y.values * scale))
+    assert math.isfinite(huge)
+    assert huge == pytest.approx(expected, abs=1e-12)
 
 
 def test_increment_correlation_errors():
