@@ -19,6 +19,7 @@ increasing transforms of either series and robust to a few large outliers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -28,20 +29,19 @@ from .errors import (
     DelayTooLarge,
     EmptySequence,
     LengthMismatch,
-    NotAligned,
     OrderMismatch,
     SeriesTooShort,
     ZeroVariance,
 )
-from .ingest import TimeSeries
+from .ingest import TimeSeries, _check_aligned
 from .patterns import (
     OrdinalPattern,
     PatternSequence,
     WindowScheme,
     _code_digits,
+    _stride,
     lex_rank,
     pattern_sequence,
-    stretch_sequence,
 )
 
 #: Patterns tracked by default in rolling reports at h=3.
@@ -260,20 +260,6 @@ def _report(
     )
 
 
-def _check_aligned(x: TimeSeries, y: TimeSeries) -> None:
-    if x.keys is y.keys:  # align() gives both series one key tuple
-        return
-    if len(x) != len(y):
-        raise NotAligned(
-            f"series {x.name!r} has {len(x)} rows, {y.name!r} has {len(y)}; "
-            "align them first"
-        )
-    if x.keys != y.keys:
-        raise NotAligned(
-            f"series {x.name!r} and {y.name!r} have different keys; align them first"
-        )
-
-
 def analyze_pair(
     x: TimeSeries,
     y: TimeSeries,
@@ -301,76 +287,69 @@ def delay_scan(
     Positive delay d compares X's window starting at i with Y's window
     starting at i + d (Y later in key order); negative d shifts X instead.
     Each report is computed on the overlapping region only, so d = 0
-    reproduces :func:`analyze_pair` exactly. The first delay that leaves
-    fewer than h + 1 overlapping points raises before any later one is read.
+    reproduces :func:`analyze_pair` exactly. Delays must be integers. The
+    first delay that is not, or that leaves fewer than h + 1 overlapping
+    points, raises before any later one is read.
     """
     _check_aligned(x, y)
     n = len(x)
     checked: list[int] = []
-    for d in map(int, delays):
+    for d in delays:
+        d = _integer("delay", d)
         if n - abs(d) < h + 1:
             raise DelayTooLarge(
                 f"delay {d} leaves {max(n - abs(d), 0)} overlapping points, "
                 f"need >= {h + 1}"
             )
         checked.append(d)
-    delays = checked
-    d = np.array(delays, dtype=np.int64)
-    overlap = n - np.abs(d)
-    # The overlap starts at point max(-d, 0) of X and max(d, 0) of Y; each
-    # side is one contiguous run of its sequence, a prefix or a suffix of
-    # the rows of one phase.
-    seq_x, x_lo, count, x_phase = stretch_sequence(
-        x, h, scheme, np.maximum(-d, 0), overlap, epsilon
-    )
-    seq_y, y_lo, _, y_phase = stretch_sequence(y, h, scheme, np.maximum(d, 0), overlap, epsilon)
-    rx, ry = seq_x._codes, seq_y._codes
+    stride = _stride(h, scheme)
+    runs = []  # per delay: d, X's phase and first window in it, Y's, the window count
+    for d in checked:
+        # The overlap starts at point max(-d, 0) of X and max(d, 0) of Y.
+        ox, px = divmod(max(-d, 0), stride)
+        oy, py = divmod(max(d, 0), stride)
+        runs.append((d, px, ox, py, oy, (n - abs(d) - h - 1) // stride + 1))
+    rx = _phase_codes(x, h, scheme, {run[1] for run in runs}, epsilon)
+    ry = _phase_codes(y, h, scheme, {run[3] for run in runs}, epsilon)
     size = math.factorial(h + 1)
-    ry_reflected = (size - 1) - ry  # the codes of Y's windows read right-to-left
+    ry_reflected = {p: (size - 1) - codes for p, codes in ry.items()}  # Y read right-to-left
     # Each phase in use is histogrammed once. For d >= 0 the overlap is a
     # prefix of X's phase and a suffix of Y's, for d < 0 the other way round,
     # so the delays sharing a sign and a pair of phases form one chain: with
     # the suffix side read backwards, its overlaps are the first k windows of
     # both sides. A chain's cross sums are its whole phases' minus what the
     # windows past k take off, found for every k of the chain at once.
-    cx = {p: np.bincount(rx[slice(*p)], minlength=size) for p in set(map(tuple, x_phase.tolist()))}
+    cx = {p: np.bincount(codes, minlength=size) for p, codes in rx.items()}
     cy = {}  # rows: histograms of Y's codes and of its reflected codes, the first reversed
-    for p in set(map(tuple, y_phase.tolist())):
-        counts = np.bincount(ry[slice(*p)], minlength=size)
+    for p, codes in ry.items():
+        counts = np.bincount(codes, minlength=size)
         cy[p] = np.array((counts, counts[::-1]))
-    chains: dict[tuple[bool, int, int, int, int], list[int]] = {}
-    for i, (delay, px, py) in enumerate(zip(delays, x_phase.tolist(), y_phase.tolist())):
-        chains.setdefault((delay >= 0, *px, *py), []).append(i)
-    cross = np.empty((2, len(delays)), dtype=np.int64)  # rows: equal, reflected
-    for (later, fx, ex, fy, ey), members in chains.items():
+    chains: dict[tuple[bool, int, int], list[int]] = {}
+    for i, (d, px, _, py, _, _) in enumerate(runs):
+        chains.setdefault((d >= 0, px, py), []).append(i)
+    count = np.array([run[5] for run in runs], dtype=np.int64)
+    cross = np.empty((2, len(runs)), dtype=np.int64)  # rows: equal, reflected
+    for (later, px, py), members in chains.items():
         k = count[members]
         lo = int(k.min())
         # The windows past the chain's shortest overlap, in the order that
         # shorter overlaps leave them out.
         if later:
-            ends_x = rx[fx + lo : ex]
-            ends_y = np.array((ry[fy : ey - lo], ry_reflected[fy : ey - lo]))[:, ::-1]
+            stop = ry[py].size - lo
+            ends_x = rx[px][lo:]
+            ends_y = np.array((ry[py][:stop], ry_reflected[py][:stop]))[:, ::-1]
         else:
-            ends_x = rx[fx : ex - lo][::-1]
-            ends_y = np.array((ry[fy + lo : ey], ry_reflected[fy + lo : ey]))
-        hx, hy = cx[fx, ex], cy[fy, ey]
+            ends_x = rx[px][: rx[px].size - lo][::-1]
+            ends_y = np.array((ry[py][lo:], ry_reflected[py][lo:]))
+        hx, hy = cx[px], cy[py]
         cross[:, members] = (hy @ hx)[:, None] - _cut_sums(hx, hy, ends_x, ends_y)[:, k - lo]
-    return [
-        (
-            delay,
-            _report(
-                h,
-                k,
-                int(np.count_nonzero(rx[a : a + k] == ry[b : b + k])),
-                int(np.count_nonzero(rx[a : a + k] == ry_reflected[b : b + k])),
-                cross_eq,
-                cross_neq,
-            ),
-        )
-        for delay, a, b, k, cross_eq, cross_neq in zip(
-            delays, x_lo.tolist(), y_lo.tolist(), count.tolist(), *cross.tolist()
-        )
-    ]
+    reports = []
+    for (d, px, ox, py, oy, k), cross_eq, cross_neq in zip(runs, *cross.tolist()):
+        a, b = rx[px][ox : ox + k], slice(oy, oy + k)
+        n_coincident = int(np.count_nonzero(a == ry[py][b]))
+        n_reflected = int(np.count_nonzero(a == ry_reflected[py][b]))
+        reports.append((d, _report(h, k, n_coincident, n_reflected, cross_eq, cross_neq)))
+    return reports
 
 
 def _cut_sums(hx: np.ndarray, hy: np.ndarray, ends_x: np.ndarray, ends_y: np.ndarray) -> np.ndarray:
@@ -418,14 +397,16 @@ def rolling_analysis(
 ) -> RollingReport:
     """One dependence report per full window of ``window_len`` observations.
 
-    Windows start at 0, step, 2*step, ...; a trailing window shorter than
-    ``window_len`` is dropped so every report covers the same pattern count.
+    ``window_len`` and ``step`` must be integers. Windows start at 0, step,
+    2*step, ...; a trailing window shorter than ``window_len`` is dropped so
+    every report covers the same pattern count.
     ``watch`` patterns (default: :data:`DEFAULT_WATCH` when h is 3, none
     otherwise) get per-window occurrence counts in each series. ``epsilon``
     is the tie tolerance of :func:`pattern_sequence`, so every window's
     report equals :func:`analyze_pair` with that ``epsilon`` on the window.
     """
     _check_aligned(x, y)
+    window_len, step = _integer("window_len", window_len), _integer("step", step)
     if window_len < h + 1:
         raise SeriesTooShort(f"window_len {window_len} < h + 1 = {h + 1}")
     if window_len > len(x):
@@ -440,32 +421,41 @@ def rolling_analysis(
         if p.order != h:
             raise OrderMismatch(f"watch pattern {p} has order {p.order}, expected {h}")
 
+    stride = _stride(h, scheme)
     starts = np.arange(0, len(x) - window_len + 1, step)
-    seq_x, lo, k, _ = stretch_sequence(x, h, scheme, starts, window_len, epsilon)
-    seq_y, _, _, _ = stretch_sequence(y, h, scheme, starts, window_len, epsilon)
-    rx, ry = seq_x._codes, seq_y._codes
-    # Row i holds window i's code in X and its code in Y plus (h+1)!, so a
-    # rolling window's rows are one contiguous run and one bincount of it
-    # gives both histograms. Y's reflected histogram is its histogram
-    # reversed, since a reflected pattern's code is (h+1)! - 1 - code.
+    offset, phase = np.divmod(starts, stride)  # window s is window s // stride of phase s % stride
+    k = (window_len - h - 1) // stride + 1
+    phases = set(phase.tolist())
+    rx = _phase_codes(x, h, scheme, phases, epsilon)
+    ry = _phase_codes(y, h, scheme, phases, epsilon)
+    # Row i of a phase's keys holds its window i's code in X and its code in
+    # Y plus (h+1)!, so a rolling window's rows are one contiguous run and
+    # one bincount of it gives both histograms. Y's reflected histogram is
+    # its histogram reversed, since a reflected pattern's code is (h+1)! - 1
+    # - code. Running totals of matching and of mirrored windows give each
+    # window's counts as differences of two totals.
     size = math.factorial(h + 1)
-    keys = np.empty((rx.size, 2), dtype=np.int64)
-    keys[:, 0] = rx
-    np.add(ry, size, out=keys[:, 1])
-    # Running totals of matching and of mirrored windows; each window's counts
-    # are differences of two totals.
-    totals = np.zeros((2, rx.size + 1), dtype=np.int32)
-    np.cumsum(rx == ry, dtype=np.int32, out=totals[0, 1:])
-    np.cumsum(rx + ry == size - 1, dtype=np.int32, out=totals[1, 1:])
+    keys = {}
+    matches = np.empty((2, starts.size), dtype=np.int64)
+    for p in phases:
+        a, b = rx[p], ry[p]
+        keys[p] = np.empty((a.size, 2), dtype=np.int64)
+        keys[p][:, 0] = a
+        np.add(b, size, out=keys[p][:, 1])
+        totals = np.zeros((2, a.size + 1), dtype=np.int32)
+        np.cumsum(a == b, dtype=np.int32, out=totals[0, 1:])
+        np.cumsum(a + b == size - 1, dtype=np.int32, out=totals[1, 1:])
+        here = phase == p
+        matches[:, here] = totals[:, offset[here] + k] - totals[:, offset[here]]
     watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
     watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
     watch_keys = np.concatenate((watch_codes, watch_codes + size))
     m = len(watch)
     windows: list[RollingWindow] = []
-    for start, a, (n_coincident, n_reflected) in zip(
-        starts.tolist(), lo.tolist(), (totals[:, lo + k] - totals[:, lo]).T.tolist()
+    for start, p, o, (n_coincident, n_reflected) in zip(
+        starts.tolist(), phase.tolist(), offset.tolist(), matches.T.tolist()
     ):
-        counts = np.bincount(keys[a : a + k].ravel(), minlength=2 * size)
+        counts = np.bincount(keys[p][o : o + k].ravel(), minlength=2 * size)
         cx, cy = counts[:size], counts[size:]
         cross_eq, cross_neq = int(cy @ cx), int(cy[::-1] @ cx)
         watched = counts[watch_keys].tolist()
@@ -478,6 +468,29 @@ def rolling_analysis(
             )
         )
     return RollingReport(tuple(windows))
+
+
+def _phase_codes(
+    series: TimeSeries, h: int, scheme: WindowScheme, phases: Iterable[int], epsilon: float
+) -> dict[int, np.ndarray]:
+    # Phase p -> the contiguous codes of the windows starting at p, p +
+    # stride, ..., so the window starting at point s is codes[s % stride][s
+    # // stride]. Exact input is extracted once, phase p being the sliding
+    # codes p::stride; with epsilon > 0 each phase in use is extracted once.
+    # With no phase in use, phase 0 still checks the series.
+    stride = _stride(h, scheme)
+    phases = sorted(phases) or [0]
+    if epsilon == 0.0:
+        codes = pattern_sequence(series, h, WindowScheme.SLIDING)._codes
+        return {p: np.ascontiguousarray(codes[p::stride]) for p in phases}
+    return {p: pattern_sequence(series.values[p:], h, scheme, epsilon)._codes for p in phases}
+
+
+def _integer(name: str, value: object) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def increment_correlation(x: TimeSeries, y: TimeSeries) -> float:

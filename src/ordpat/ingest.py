@@ -24,6 +24,7 @@ from .errors import (
     MissingColumn,
     NoCommonKeys,
     NonFiniteValue,
+    NotAligned,
     ParseError,
 )
 
@@ -247,3 +248,18 @@ def align(a: TimeSeries, b: TimeSeries) -> AlignResult:
     new_a = TimeSeries._with_unique_keys(keys, values_a, a.name)
     new_b = TimeSeries._with_unique_keys(keys, b.values[idx_b], b.name)
     return AlignResult(new_a, new_b, len(a) - kept, len(b) - kept)
+
+
+def _check_aligned(x: TimeSeries, y: TimeSeries) -> None:
+    """Raise :class:`NotAligned` unless the two series have the same keys."""
+    if x.keys is y.keys:  # align() gives both series one key tuple
+        return
+    if len(x) != len(y):
+        raise NotAligned(
+            f"series {x.name!r} has {len(x)} rows, {y.name!r} has {len(y)}; "
+            "align them first"
+        )
+    if x.keys != y.keys:
+        raise NotAligned(
+            f"series {x.name!r} and {y.name!r} have different keys; align them first"
+        )

@@ -358,43 +358,3 @@ def _stride(h: int, scheme: WindowScheme) -> int:
         raise ValueError(f"order h must be >= 1, got {h}")
     return 1 if scheme is WindowScheme.SLIDING else h
 
-
-def stretch_sequence(
-    series: TimeSeries,
-    h: int,
-    scheme: WindowScheme,
-    starts: np.ndarray,
-    lengths: Union[int, np.ndarray],
-    epsilon: float = 0.0,
-) -> tuple[PatternSequence, np.ndarray, Union[int, np.ndarray], np.ndarray]:
-    """Patterns of the stretches ``series[starts[i] : starts[i] + lengths[i]]``.
-
-    Returns ``(seq, lo, count, phase)``: the windows of stretch i are rows
-    ``lo[i] : lo[i] + count[i]`` of ``seq``, and its phase's windows are rows
-    ``phase[i, 0] : phase[i, 1]``. The phases ``p = start % stride`` in use
-    (SLIDING has only phase 0) are joined in order, so the window starting
-    at point s is row ``phase[i, 0] + s // stride`` for any stretch i in the
-    phase of s. Exact input is extracted once, phase p being the sliding
-    digit columns ``p::stride``; with ``epsilon > 0`` each phase in use is
-    extracted once, as ``pattern_sequence(values[p:], h, scheme, epsilon)``.
-    """
-    stride = _stride(h, scheme)
-    starts = np.asarray(starts, dtype=np.int64)
-    # Not np.unique: under numpy 2.4 its plain form imports numpy.ma, which
-    # adds about 10 ms to a CLI call. With no stretch, phase 0 still checks
-    # the series.
-    phases = sorted(set((starts % stride).tolist())) or [0]
-    if epsilon == 0.0:
-        sliding = pattern_sequence(series, h, WindowScheme.SLIDING)._digits
-        parts = [sliding[:, p::stride] for p in phases]
-    else:
-        parts = [pattern_sequence(series.values[p:], h, scheme, epsilon)._digits for p in phases]
-    sizes = [part.shape[1] for part in parts]
-    stops = np.cumsum(sizes)
-    bounds = np.zeros((stride, 2), dtype=np.int64)  # each phase's rows [first, stop)
-    bounds[phases] = np.column_stack((stops - sizes, stops))
-    digits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    seq = PatternSequence._from_digits(h, scheme, digits)
-    count = (lengths - h - 1) // stride + 1
-    phase = bounds[starts % stride]
-    return seq, phase[:, 0] + starts // stride, count, phase

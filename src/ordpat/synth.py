@@ -13,8 +13,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidRho, NotAligned, TooManyOutliers
-from .ingest import TimeSeries
+from .errors import InvalidRho, TooManyOutliers
+from .ingest import TimeSeries, _check_aligned
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def inject_outliers(
     The same positions are hit in both series (mimicking simultaneous
     measurement errors); all other values are unchanged.
     """
-    if x.keys != y.keys:
-        raise NotAligned("series must be aligned before injecting outliers")
+    _check_aligned(x, y)
     n = len(x)
     if cfg.k > n:
         raise TooManyOutliers(f"k={cfg.k} exceeds series length {n}")

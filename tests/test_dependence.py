@@ -105,6 +105,18 @@ def test_from_counts_refuses_negative_and_fractional_counts():
     assert (dist.total, dist.freq(up), dist.freq(down)) == (4, 0.75, 0.0)
 
 
+def test_pattern_distribution_validation():
+    up, down = OrdinalPattern((0, 1, 2)), OrdinalPattern((2, 1, 0))
+    with pytest.raises(EmptySequence, match="at least one pattern"):
+        PatternDistribution(2, {}, 0)
+    with pytest.raises(ValueError, match="^counts do not sum to total$"):
+        PatternDistribution(2, {up: 3, down: 1}, 5)
+    with pytest.raises(OrderMismatch, match=r"^pattern \(0,1,2,3\) has order 3, distribution has 2$"):
+        PatternDistribution(2, {up: 1, OrdinalPattern((0, 1, 2, 3)): 1}, 2)
+    with pytest.raises(EmptySequence, match="^no counts given$"):
+        PatternDistribution.from_counts({})
+
+
 # --- pairwise counts ---------------------------------------------------------------
 
 
@@ -291,6 +303,32 @@ def test_delay_scan_refuses_a_delay_before_reading_the_rest():
 
     with pytest.raises(DelayTooLarge, match=r"^delay 1000000000 leaves 0 overlapping points"):
         delay_scan(x, y, 2, WindowScheme.SLIDING, delays())
+
+
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delays_window_and_step_must_be_integers(monkeypatch, scheme):
+    # A fractional delay, window or step is refused by name before any
+    # window is extracted, not truncated or failing deep inside. numpy
+    # integers work and give the same reports as Python ints.
+    import ordpat.dependence as dependence
+
+    x, y = random_series(50, 20), random_series(50, 21)
+    with monkeypatch.context() as patched:
+        patched.setattr(dependence, "pattern_sequence", None)  # any extraction fails
+        with pytest.raises(TypeError, match=r"^delay must be an integer, got 1\.5$"):
+            delay_scan(x, y, 2, scheme, [0, 1.5])
+        with pytest.raises(TypeError, match=r"^delay must be an integer, got '1'$"):
+            delay_scan(x, y, 2, scheme, ["1"])
+        with pytest.raises(TypeError, match=r"^window_len must be an integer, got 10\.5$"):
+            rolling_analysis(x, y, 2, scheme, 10.5, 1)
+        with pytest.raises(TypeError, match=r"^step must be an integer, got 2\.5$"):
+            rolling_analysis(x, y, 2, scheme, 10, 2.5)
+    scan = delay_scan(x, y, 2, scheme, np.arange(-3, 4))
+    assert scan == delay_scan(x, y, 2, scheme, range(-3, 4))
+    assert {type(d) for d, _ in scan} == {int}
+    rolling = rolling_analysis(x, y, 2, scheme, np.int64(10), np.int32(3))
+    assert rolling == rolling_analysis(x, y, 2, scheme, 10, 3)
+    assert {type(w.report.n_windows) for w in rolling} == {int}
 
 
 def test_delay_shift_collapses_ar1_dependence():

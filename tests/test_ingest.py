@@ -111,6 +111,8 @@ def test_timeseries_invariants():
         TimeSeries((), np.array([]))
     with pytest.raises(ValueError):
         TimeSeries(("a",), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+        TimeSeries(("a", "b"), np.array([[1.0], [2.0]]))
 
 
 def test_timeseries_values_are_read_only():

@@ -22,7 +22,8 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
-from ordpat.patterns import _code_digits, stretch_sequence
+from ordpat.dependence import _phase_codes
+from ordpat.patterns import _code_digits
 from oracles import (
     inversion_code,
     pattern_list,
@@ -294,6 +295,8 @@ def test_pattern_sequence_validation():
         pattern_sequence([1.0, 2.0, 3.0], 0)
     with pytest.raises(NonFiniteValue):
         pattern_sequence([1.0, float("nan"), 3.0], 1)
+    with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+        pattern_sequence([[1.0, 2.0], [3.0, 4.0]], 1)
 
 
 def test_pattern_sequence_indexing_and_iteration():
@@ -376,8 +379,9 @@ def _assert_matches_oracle(rows, ranks, codes, expected):
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
     # Exact windows of both schemes take the inversion-count recurrence, the
-    # rest the comparison kernel; both directly and through stretch_sequence.
-    # A block window is the sliding window starting at a multiple of h.
+    # rest the comparison kernel; both directly and through the per-phase
+    # codes that delay and rolling read. A block window is the sliding
+    # window starting at a multiple of h.
     values = _kernel_inputs()[data]
     stride = 1 if scheme is WindowScheme.SLIDING else h
     for n in (values.size, h + 1):
@@ -387,33 +391,34 @@ def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
         expected = pattern_list(values[:n].tolist(), h, epsilon, stride)
         _assert_matches_oracle(seq.rows, seq.ranks, seq._codes, expected)
         series = TimeSeries(tuple(map(str, range(n))), values[:n])
-        starts = np.array(sorted({0, (n - h - 1) // 2, n - h - 1}))
-        seq, lo, count, _ = stretch_sequence(series, h, scheme, starts, n - starts, epsilon)
-        for s, a, k in zip(starts.tolist(), lo.tolist(), count.tolist()):
+        starts = sorted({0, (n - h - 1) // 2, n - h - 1})
+        codes = _phase_codes(series, h, scheme, {s % stride for s in starts}, epsilon)
+        for s in starts:
             expected = pattern_list(values[s:n].tolist(), h, epsilon, stride)
-            rows = slice(a, a + k)
-            _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
+            _assert_codes_match_oracle(h, codes[s % stride][s // stride :], expected)
+
+
+def _assert_codes_match_oracle(h, codes, expected):
+    # Rows and ranks decoded from the codes alone.
+    assert codes.flags.c_contiguous and codes.dtype == np.int64
+    seq = PatternSequence._from_digits(h, WindowScheme.SLIDING, _code_digits(codes, h))
+    _assert_matches_oracle(seq.rows, seq.ranks, codes, expected)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5])
 @pytest.mark.parametrize("h", [1, 3, 8])
-def test_stretch_sequence_block_phases_match_sort_oracle(epsilon, h):
+def test_phase_codes_block_phases_match_sort_oracle(epsilon, h):
     values = _kernel_inputs()["grid"]
     series = TimeSeries(tuple(map(str, range(values.size))), values)
-    starts = np.array([0, 1, 2, 5, 7, 10, 11, values.size - h - 1])
-    lengths = np.array([h + 1, 20, 30, 2 * h + 1, 45, 50, 25, h + 1])
-    seq, lo, count, phase = stretch_sequence(
-        series, h, WindowScheme.BLOCK, starts, lengths, epsilon
-    )
-    assert h == 1 or len({s % h for s in starts.tolist()}) >= 3  # several block phases
-    for s, length, a, k, (first, stop) in zip(
-        starts.tolist(), lengths.tolist(), lo.tolist(), count.tolist(), phase.tolist()
-    ):
+    starts = [0, 1, 2, 5, 7, 10, 11, values.size - h - 1]
+    lengths = [h + 1, 20, 30, 2 * h + 1, 45, 50, 25, h + 1]
+    codes = _phase_codes(series, h, WindowScheme.BLOCK, {s % h for s in starts}, epsilon)
+    assert h == 1 or len(codes) >= 3  # several block phases
+    assert sorted(codes) == sorted({s % h for s in starts})
+    for s, length in zip(starts, lengths):
         expected = pattern_list(values[s : s + length].tolist(), h, epsilon, h)
-        rows = slice(a, a + k)
-        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
-        # The phase's rows are every block window of values[s % h :].
+        phase = codes[s % h]
+        _assert_codes_match_oracle(h, phase[s // h : s // h + len(expected)], expected)
+        # The phase's codes are every block window of values[s % h :].
         expected = pattern_list(values[s % h :].tolist(), h, epsilon, h)
-        rows = slice(first, stop)
-        _assert_matches_oracle(seq.rows[rows], seq.ranks[rows], seq._codes[rows], expected)
-
+        _assert_codes_match_oracle(h, phase, expected)

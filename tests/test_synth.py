@@ -104,6 +104,8 @@ def test_ar1_config_validation():
         Ar1Config(n=10, phi=0.5, rho=1.5, seed=0)
     with pytest.raises(ValueError):
         Ar1Config(n=1, phi=0.5, rho=0.5, seed=0)
+    with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+        gaussian_walk_pair(1, 0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
