@@ -209,27 +209,26 @@ def cmd_rolling(args: argparse.Namespace) -> str:
     rolling = rolling_analysis(
         pair.a, pair.b, args.h, _scheme(args), args.window, step, watch, args.epsilon
     )
+    ranges = rolling.key_ranges()
+    watched = rolling.watch_counts.tolist()  # per window: [x, y] per watched pattern
     if args.format == "json":
+        labels = [str(p) for p in rolling.watch]
+        fields = {name: rolling.values(name) for name in rolling.columns}
+        reports = (dict(zip(fields, row)) for row in zip(*fields.values()))
         windows = [
-            {
-                "from": w.start_key,
-                "to": w.end_key,
-                "watch_counts": {str(p): list(c) for p, c in w.watch_counts.items()},
-                "report": dataclasses.asdict(w.report),
-            }
-            for w in rolling
+            {"from": start, "to": end, "watch_counts": dict(zip(labels, counts)), "report": report}
+            for (start, end), counts, report in zip(ranges, watched, reports)
         ]
         return json.dumps(
             {**_head(args), "window": args.window, "step": step, **_dropped(pair),
              "windows": windows},
             indent=2,
         )
-    watch_used = tuple(rolling.windows[0].watch_counts)
-    header = ["from", "to", *_SCAN_FIELDS, *(f"{s}{p}" for p in watch_used for s in "xy")]
+    header = ["from", "to", *_SCAN_FIELDS, *(f"{s}{p}" for p in rolling.watch for s in "xy")]
+    cells = zip(*(map(_f6, rolling.values(name)) for name in _SCAN_FIELDS))
     rows = [
-        [w.start_key, w.end_key, *_scan_cells(w.report),
-         *(_f6(n) for p in watch_used for n in w.watch_counts[p])]
-        for w in rolling
+        [start, end, *scan, *(_f6(n) for xy in counts for n in xy)]
+        for (start, end), scan, counts in zip(ranges, cells, watched)
     ]
     return _render_table(header, rows, args.format)
 

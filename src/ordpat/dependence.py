@@ -21,9 +21,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DelayTooLarge,
@@ -129,17 +132,61 @@ class RollingWindow:
     watch_counts: Mapping[OrdinalPattern, tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RollingReport:
-    """Consecutive equal-length windows over an aligned pair."""
+    """Consecutive equal-length windows over an aligned pair, held as columns.
 
-    windows: tuple[RollingWindow, ...]
+    Window i covers the points ``starts[i]`` to ``starts[i] + window_len - 1``
+    of a series with key tuple ``keys``. ``columns`` maps each
+    :class:`DependenceReport` field, in field order, to a read-only array
+    with one entry per window; ``z_eq``/``z_neq`` are NaN where the report
+    has None. ``watch_counts[i, j]`` holds the (count in X, count in Y) of
+    ``watch[j]`` in window i. :attr:`windows` builds the per-window objects
+    on first read.
+    """
+
+    keys: tuple[str, ...]
+    window_len: int
+    starts: np.ndarray
+    columns: Mapping[str, np.ndarray]
+    watch: tuple[OrdinalPattern, ...]
+    watch_counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return self.starts.size
 
     def __iter__(self) -> Iterator[RollingWindow]:
         return iter(self.windows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RollingReport):
+            return NotImplemented
+        return self.windows == other.windows
+
+    def __repr__(self) -> str:
+        return f"RollingReport(windows={self.windows!r})"
+
+    def key_ranges(self) -> list[tuple[str, str]]:
+        """Each window's first and last key."""
+        keys, last = self.keys, self.window_len - 1
+        return [(keys[s], keys[s + last]) for s in self.starts.tolist()]
+
+    def values(self, name: str) -> list:
+        """A report field's column as Python values, None where the report has None."""
+        values = self.columns[name].tolist()
+        if name in ("z_eq", "z_neq"):
+            return [None if math.isnan(v) else v for v in values]
+        return values
+
+    @cached_property
+    def windows(self) -> tuple[RollingWindow, ...]:
+        """One :class:`RollingWindow` per window, built from the columns."""
+        reports = map(DependenceReport, *map(self.values, self.columns))
+        watched = (dict(zip(self.watch, map(tuple, w))) for w in self.watch_counts.tolist())
+        return tuple(
+            RollingWindow(start_key, end_key, report, counts)
+            for (start_key, end_key), report, counts in zip(self.key_ranges(), reports, watched)
+        )
 
 
 def distribution(seq: PatternSequence) -> PatternDistribution:
@@ -392,7 +439,7 @@ def rolling_analysis(
     scheme: WindowScheme,
     window_len: int,
     step: int,
-    watch: Optional[Sequence[OrdinalPattern]] = None,
+    watch: Optional[Iterable[OrdinalPattern | Sequence[int]]] = None,
     epsilon: float = 0.0,
 ) -> RollingReport:
     """One dependence report per full window of ``window_len`` observations.
@@ -401,9 +448,11 @@ def rolling_analysis(
     2*step, ...; a trailing window shorter than ``window_len`` is dropped so
     every report covers the same pattern count.
     ``watch`` patterns (default: :data:`DEFAULT_WATCH` when h is 3, none
-    otherwise) get per-window occurrence counts in each series. ``epsilon``
-    is the tie tolerance of :func:`pattern_sequence`, so every window's
-    report equals :func:`analyze_pair` with that ``epsilon`` on the window.
+    otherwise), given as :class:`OrdinalPattern` objects or index tuples, get
+    per-window occurrence counts in each series; a pattern given twice is
+    counted once. ``epsilon`` is the tie tolerance of
+    :func:`pattern_sequence`, so every window's report equals
+    :func:`analyze_pair` with that ``epsilon`` on the window.
     """
     _check_aligned(x, y)
     window_len, step = _integer("window_len", window_len), _integer("step", step)
@@ -417,6 +466,10 @@ def rolling_analysis(
         raise ValueError(f"step must be >= 1, got {step}")
     if watch is None:
         watch = DEFAULT_WATCH if h == 3 else ()
+    # Each pattern once, in first-seen order.
+    watch = tuple(
+        dict.fromkeys(p if isinstance(p, OrdinalPattern) else OrdinalPattern(p) for p in watch)
+    )
     for p in watch:
         if p.order != h:
             raise OrderMismatch(f"watch pattern {p} has order {p.order}, expected {h}")
@@ -430,44 +483,114 @@ def rolling_analysis(
     ry = _phase_codes(y, h, scheme, phases, epsilon)
     # Row i of a phase's keys holds its window i's code in X and its code in
     # Y plus (h+1)!, so a rolling window's rows are one contiguous run and
-    # one bincount of it gives both histograms. Y's reflected histogram is
-    # its histogram reversed, since a reflected pattern's code is (h+1)! - 1
-    # - code. Running totals of matching and of mirrored windows give each
-    # window's counts as differences of two totals.
+    # one bincount of it gives both histograms. Running totals of matching
+    # and of mirrored windows give each window's counts as differences of
+    # two totals.
     size = math.factorial(h + 1)
-    keys = {}
-    matches = np.empty((2, starts.size), dtype=np.int64)
+    watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
+    watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
+    watch_keys = (watch_codes[:, None] + (0, size)).ravel()  # X's, then Y's, per pattern
+    matches = np.empty((2, starts.size), dtype=np.int64)  # rows: coincident, reflected
+    cross = np.empty((2, starts.size), dtype=np.int64)  # rows: cY @ cX, cY(reflected) @ cX
+    watched = np.empty((starts.size, watch_keys.size), dtype=np.int64)
+    # A phase's windows start at every step // gcd(step, stride)-th of its rows.
+    gap = step // math.gcd(step, stride)
     for p in phases:
         a, b = rx[p], ry[p]
-        keys[p] = np.empty((a.size, 2), dtype=np.int64)
-        keys[p][:, 0] = a
-        np.add(b, size, out=keys[p][:, 1])
+        keys = np.empty((a.size, 2), dtype=np.int64)
+        keys[:, 0] = a
+        np.add(b, size, out=keys[:, 1])
         totals = np.zeros((2, a.size + 1), dtype=np.int32)
         np.cumsum(a == b, dtype=np.int32, out=totals[0, 1:])
         np.cumsum(a + b == size - 1, dtype=np.int32, out=totals[1, 1:])
         here = phase == p
-        matches[:, here] = totals[:, offset[here] + k] - totals[:, offset[here]]
-    watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
-    watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
-    watch_keys = np.concatenate((watch_codes, watch_codes + size))
-    m = len(watch)
-    windows: list[RollingWindow] = []
-    for start, p, o, (n_coincident, n_reflected) in zip(
-        starts.tolist(), phase.tolist(), offset.tolist(), matches.T.tolist()
-    ):
-        counts = np.bincount(keys[p][o : o + k].ravel(), minlength=2 * size)
-        cx, cy = counts[:size], counts[size:]
-        cross_eq, cross_neq = int(cy @ cx), int(cy[::-1] @ cx)
-        watched = counts[watch_keys].tolist()
-        windows.append(
-            RollingWindow(
-                start_key=x.keys[start],
-                end_key=x.keys[start + window_len - 1],
-                report=_report(h, k, n_coincident, n_reflected, cross_eq, cross_neq),
-                watch_counts=dict(zip(watch, zip(watched[:m], watched[m:]))),
-            )
+        first = offset[here]
+        matches[:, here] = totals[:, first + k] - totals[:, first]
+        cross[:, here], watched[here] = _window_sums(
+            keys, int(first[0]), gap, first.size, k, size, watch_keys
         )
-    return RollingReport(tuple(windows))
+    columns = {"h": np.full(starts.size, h), "n_windows": np.full(starts.size, k)}
+    columns.update(_report_columns(k, matches, cross))
+    for column in (starts, watched, columns["h"], columns["n_windows"]):
+        column.flags.writeable = False
+    return RollingReport(
+        x.keys,
+        window_len,
+        starts,
+        MappingProxyType(columns),
+        watch,
+        watched.reshape(starts.size, len(watch), 2),
+    )
+
+
+def _window_sums(
+    keys: np.ndarray, first: int, gap: int, count: int, k: int, size: int, picks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # For the count windows of k rows of keys that start at rows first, first
+    # + gap, ...: the cross sums cY @ cX and cY(reflected) @ cX, and the
+    # entries picks of the window's histogram (X's codes, then Y's codes plus
+    # size). Y's reflected histogram is its histogram reversed, since a
+    # reflected pattern's code is size - 1 - code. r windows at a time are
+    # copied side by side into one (r, 2k) matrix, row j lifted by j * 2 *
+    # size, so one bincount makes their r histograms as the rows of an (r, 2
+    # * size) matrix. Both matrices stay within 2**17 entries (1 MB), unless
+    # one histogram alone is larger (h = 8), when r is 1.
+    bins = 2 * size
+    rows = max(1, 2**16 // max(k, size))
+    # Row j: the keys of the j-th window, read in place. The last window
+    # ends at or before the last row of keys, so the view stays inside it.
+    runs = as_strided(
+        keys[first:], (count, 2 * k), (gap * keys.strides[0], keys.strides[1]), writeable=False
+    )
+    lift = np.arange(0, rows * bins, bins)[:, None]
+    gathered = np.empty((min(rows, count), 2 * k), dtype=np.int64)
+    cross = np.empty((2, count), dtype=np.int64)
+    picked = np.empty((count, picks.size), dtype=np.int64)
+    for lo in range(0, count, rows):
+        r = min(rows, count - lo)
+        np.add(runs[lo : lo + r], lift[:r], out=gathered[:r])
+        hist = np.bincount(gathered[:r].ravel(), minlength=r * bins).reshape(r, bins)
+        cx, cy = hist[:, :size], hist[:, size:]
+        cross[0, lo : lo + r] = np.einsum("ij,ij->i", cy, cx)
+        cross[1, lo : lo + r] = np.einsum("ij,ij->i", cy[:, ::-1], cx)
+        picked[lo : lo + r] = hist[:, picks]
+    return cross, picked
+
+
+def _report_columns(n: int, counts: np.ndarray, cross: np.ndarray) -> dict[str, np.ndarray]:
+    # _report over int64 columns, row 0 for coincident and row 1 for
+    # reflected windows, with _report's operations in _report's order, so
+    # every float is _report's bit for bit: an int64 below 2**53 converts to
+    # float64 exactly, and IEEE arithmetic and sqrt round as Python's do. A
+    # zero variance gives NaN where _report gives None.
+    p = _quotient(counts, n)
+    base = _quotient(cross, n * n)
+    variance = n * base * (1.0 - base)
+    z = np.full(base.shape, np.nan)
+    np.divide(counts - n * base, np.sqrt(variance), out=z, where=variance > 0.0)
+    tilde = p - base
+    for column in (counts, p, base, tilde, z):
+        column.flags.writeable = False
+    return {
+        "n_coincident": counts[0],
+        "n_reflected": counts[1],
+        "p_eq": p[0],
+        "p_neq": p[1],
+        "base_eq": base[0],
+        "base_neq": base[1],
+        "alpha_tilde": tilde[0],
+        "beta_tilde": tilde[1],
+        "z_eq": z[0],
+        "z_neq": z[1],
+    }
+
+
+def _quotient(counts: np.ndarray, d: int) -> np.ndarray:
+    # counts / d, each correctly rounded as Python's int division is. Every
+    # count is at most d, so below 2**53 both convert to float64 exactly.
+    if d < 2**53:
+        return counts / d
+    return np.array([[c / d for c in row] for row in counts.tolist()], dtype=np.float64)
 
 
 def _phase_codes(

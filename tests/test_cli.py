@@ -232,13 +232,27 @@ def test_delay_range_and_zero_row_matches_analyze(pair_files):
     [
         ("golden_delay_h3", ("delay", "--from-delay", -3, "--to-delay", 3)),
         ("golden_rolling_h3_w60", ("rolling", "--window", 60)),
+        (
+            "golden_rolling_h3_block_s7_watch",
+            ("rolling", "--window", 60, "--mode", "block", "--step", 7,
+             "--watch", "(3,2,1,0),(0,2,1,3)"),
+        ),
+        (
+            "golden_rolling_h3_block_s7_dupwatch",
+            ("rolling", "--window", 60, "--mode", "block", "--step", 7,
+             "--watch", "(0,1,2,3),(0,1,2,3)"),
+        ),
+        # Both series constant: every window is the identity pattern, base_eq
+        # is 1 and both z-scores are None.
+        ("golden_rolling_h3_const", ("rolling", "--window", 20, "--step", 7)),
     ],
-    ids=["delay", "rolling"],
+    ids=["delay", "rolling", "rolling-block-watch", "rolling-dup-watch", "rolling-const"],
 )
 def test_delay_and_rolling_golden_fixture_frozen_output(fixtures_dir, golden, flags, fmt):
     name, *rest = flags
+    x, y = ("const", "const") if golden.endswith("const") else ("x", "y")
     code, out, err = run_cli(
-        name, "--x", fixtures_dir / "golden_x.csv", "--y", fixtures_dir / "golden_y.csv",
+        name, "--x", fixtures_dir / f"golden_{x}.csv", "--y", fixtures_dir / f"golden_{y}.csv",
         "--h", 3, *rest, "--format", fmt,
     )
     assert code == 0, err

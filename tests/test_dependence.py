@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordpat import (
@@ -416,6 +416,19 @@ def test_rolling_watch_counts_match_distribution():
             assert ny == dist_y.counts.get(p, 0)
 
 
+def test_rolling_watch_accepts_any_iterable_of_patterns_or_index_tuples():
+    # The watch list is read once, as OrdinalPatterns or index tuples; a
+    # pattern given twice is one key, counted once.
+    x, y = random_series(90, 34), random_series(90, 35)
+    patterns = (OrdinalPattern((0, 1, 2, 3)), OrdinalPattern((3, 2, 1, 0)))
+    rolling = rolling_analysis(x, y, 3, WindowScheme.SLIDING, 45, 20, patterns)
+    for watch in (iter(patterns), [(0, 1, 2, 3), [3, 2, 1, 0]], patterns + patterns[:1]):
+        again = rolling_analysis(x, y, 3, WindowScheme.SLIDING, 45, 20, watch)
+        assert again == rolling and again.watch == patterns
+    with pytest.raises(ValueError, match="not a permutation"):
+        rolling_analysis(x, y, 3, WindowScheme.SLIDING, 45, 20, [(0, 1, 1, 3)])
+
+
 def test_rolling_validation():
     x = random_series(30, 32)
     y = random_series(30, 33)
@@ -577,6 +590,49 @@ def test_rolling_analysis_matches_per_slice_oracle(h, scheme, data, epsilon):
                 assert w.watch_counts == {
                     p: (px.count(p.indices), py.count(p.indices)) for p in watch
                 }
+
+
+@pytest.mark.parametrize("h", [1, 3, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=9, max_size=50),
+    st.lists(st.integers(0, 4), min_size=9, max_size=50),
+    st.integers(0, 50),
+    st.sampled_from([(0, 1), (0, 3), (1, 0), (1, 5)]),
+)
+@example([2] * 30, [3] * 30, 10, (0, 3))
+def test_rolling_windows_equal_analyze_pair_on_each_slice(h, scheme, epsilon, xs, ys, extra, step):
+    # Values on a half-unit grid, so epsilon 0.5 merges neighbours; the step
+    # is 1, 3, the window or the window + 5. Every window's report must equal
+    # a fresh analysis of its slice, float for float and None for None.
+    n = min(len(xs), len(ys))
+    xs, ys = [v / 2 for v in xs[:n]], [v / 2 for v in ys[:n]]
+    window_len = min(h + 1 + extra, n)
+    step = step[0] * window_len + step[1]
+    rolling = rolling_analysis(series(xs), series(ys), h, scheme, window_len, step, (), epsilon)
+    starts = range(0, n - window_len + 1, step)
+    assert len(rolling) == len(starts)
+    constant = len(set(xs)) == len(set(ys)) == 1
+    for w, start in zip(rolling, starts):
+        vx, vy = xs[start : start + window_len], ys[start : start + window_len]
+        assert w.report == analyze_pair(series(vx), series(vy), h, scheme, epsilon)
+        if constant:
+            assert (w.report.base_eq, w.report.z_eq, w.report.z_neq) == (1.0, None, None)
+
+
+def test_rolling_quotients_are_python_divisions_beyond_2_to_53():
+    # Where the divisor no longer converts to float64 exactly (a window of
+    # 95 million points, squared), each rolling quotient is still Python's
+    # correctly rounded int division; converting both sides to float64
+    # first would round these three counts twice and miss by one ulp.
+    from ordpat.dependence import _quotient
+
+    d = 3**34
+    counts = [14452323777604319, 1136833878997956, 2124231790572604]
+    assert (np.array(counts, dtype=float) / float(d)).tolist() != [c / d for c in counts]
+    assert _quotient(np.array([counts]), d).tolist() == [[c / d for c in counts]]
 
 
 def test_nan_or_negative_epsilon_is_rejected_everywhere():
