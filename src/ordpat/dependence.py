@@ -41,7 +41,6 @@ from .patterns import (
     OrdinalPattern,
     PatternSequence,
     WindowScheme,
-    _code_digits,
     _stride,
     lex_rank,
     pattern_sequence,
@@ -159,9 +158,15 @@ class RollingReport:
         return iter(self.windows)
 
     def __eq__(self, other: object) -> bool:
+        # As the windows compare, a NaN z equal to NaN as None is to None, and
+        # watch counts matched by pattern, whatever the watch order.
         if not isinstance(other, RollingReport):
             return NotImplemented
-        return self.windows == other.windows
+        if set(self.watch) != set(other.watch) or self.key_ranges() != other.key_ranges():
+            return False
+        order = [other.watch.index(p) for p in self.watch]
+        same = (np.array_equal(c, other.columns[n], equal_nan=True) for n, c in self.columns.items())
+        return np.array_equal(self.watch_counts, other.watch_counts[:, order]) and all(same)
 
     def __repr__(self) -> str:
         return f"RollingReport(windows={self.windows!r})"
@@ -204,8 +209,7 @@ def _distinct(seq: PatternSequence) -> tuple[PatternSequence, np.ndarray]:
     # Each distinct pattern of seq once, in code order, and its count. Only
     # these patterns are decoded from their codes.
     codes, counts = np.unique(seq._codes, return_counts=True)
-    digits = _code_digits(codes, seq.order)
-    return PatternSequence._from_digits(seq.order, seq.scheme, digits), counts
+    return PatternSequence._from_codes(seq.order, seq.scheme, codes), counts
 
 
 def coincident_reflected_counts(
@@ -481,11 +485,10 @@ def rolling_analysis(
     phases = set(phase.tolist())
     rx = _phase_codes(x, h, scheme, phases, epsilon)
     ry = _phase_codes(y, h, scheme, phases, epsilon)
-    # Row i of a phase's keys holds its window i's code in X and its code in
-    # Y plus (h+1)!, so a rolling window's rows are one contiguous run and
-    # one bincount of it gives both histograms. Running totals of matching
-    # and of mirrored windows give each window's counts as differences of
-    # two totals.
+    # A rolling window is one contiguous run of a phase's X codes and of its
+    # Y codes; with Y's lifted by (h+1)!, one bincount of both runs gives
+    # both histograms. Running totals of matching and of mirrored windows
+    # give each window's counts as differences of two totals.
     size = math.factorial(h + 1)
     watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
     watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
@@ -497,9 +500,6 @@ def rolling_analysis(
     gap = step // math.gcd(step, stride)
     for p in phases:
         a, b = rx[p], ry[p]
-        keys = np.empty((a.size, 2), dtype=np.int64)
-        keys[:, 0] = a
-        np.add(b, size, out=keys[:, 1])
         totals = np.zeros((2, a.size + 1), dtype=np.int32)
         np.cumsum(a == b, dtype=np.int32, out=totals[0, 1:])
         np.cumsum(a + b == size - 1, dtype=np.int32, out=totals[1, 1:])
@@ -507,7 +507,7 @@ def rolling_analysis(
         first = offset[here]
         matches[:, here] = totals[:, first + k] - totals[:, first]
         cross[:, here], watched[here] = _window_sums(
-            keys, int(first[0]), gap, first.size, k, size, watch_keys
+            a[first[0] :], b[first[0] :], gap, first.size, k, size, watch_keys
         )
     columns = {"h": np.full(starts.size, h), "n_windows": np.full(starts.size, k)}
     columns.update(_report_columns(k, matches, cross))
@@ -524,32 +524,33 @@ def rolling_analysis(
 
 
 def _window_sums(
-    keys: np.ndarray, first: int, gap: int, count: int, k: int, size: int, picks: np.ndarray
+    rx: np.ndarray, ry: np.ndarray, gap: int, count: int, k: int, size: int, picks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # For the count windows of k rows of keys that start at rows first, first
-    # + gap, ...: the cross sums cY @ cX and cY(reflected) @ cX, and the
-    # entries picks of the window's histogram (X's codes, then Y's codes plus
-    # size). Y's reflected histogram is its histogram reversed, since a
-    # reflected pattern's code is size - 1 - code. r windows at a time are
-    # copied side by side into one (r, 2k) matrix, row j lifted by j * 2 *
-    # size, so one bincount makes their r histograms as the rows of an (r, 2
-    # * size) matrix. Both matrices stay within 2**17 entries (1 MB), unless
-    # one histogram alone is larger (h = 8), when r is 1.
+    # For the count windows of k codes starting at entries 0, gap, 2 * gap,
+    # ... of a phase's X codes rx and Y codes ry: the cross sums cY @ cX and
+    # cY(reflected) @ cX (Y's reflected histogram is its histogram reversed,
+    # as a reflected code is size - 1 - code), and the entries picks of each
+    # window's histogram (X's codes, then Y's plus size). r windows at a time
+    # are copied into a (2, r, k) matrix, X's runs then Y's, window j lifted
+    # by j * 2 * size, so one bincount makes their r histograms as the rows
+    # of an (r, 2 * size) matrix. Both stay within 2**17 entries (1 MB),
+    # unless one histogram alone is larger (h = 8), when r is 1. Each half is
+    # one contiguous block: the halves of an (r, 2, k) matrix fill slower.
     bins = 2 * size
     rows = max(1, 2**16 // max(k, size))
-    # Row j: the keys of the j-th window, read in place. The last window
-    # ends at or before the last row of keys, so the view stays inside it.
-    runs = as_strided(
-        keys[first:], (count, 2 * k), (gap * keys.strides[0], keys.strides[1]), writeable=False
-    )
-    lift = np.arange(0, rows * bins, bins)[:, None]
-    gathered = np.empty((min(rows, count), 2 * k), dtype=np.int64)
+    # Row j: the codes of the j-th window, read in place. The last window
+    # ends at or before the last code, so the views stay inside the arrays.
+    runs_x = as_strided(rx, (count, k), (gap * rx.strides[0], rx.strides[0]), writeable=False)
+    runs_y = as_strided(ry, (count, k), (gap * ry.strides[0], ry.strides[0]), writeable=False)
+    lift = np.arange(0, rows * bins, bins)[:, None] + np.array([0, size])[:, None, None]
+    gathered = np.empty((2, min(rows, count), k), dtype=np.int64)
     cross = np.empty((2, count), dtype=np.int64)
     picked = np.empty((count, picks.size), dtype=np.int64)
     for lo in range(0, count, rows):
         r = min(rows, count - lo)
-        np.add(runs[lo : lo + r], lift[:r], out=gathered[:r])
-        hist = np.bincount(gathered[:r].ravel(), minlength=r * bins).reshape(r, bins)
+        np.add(runs_x[lo : lo + r], lift[0, :r], out=gathered[0, :r])
+        np.add(runs_y[lo : lo + r], lift[1, :r], out=gathered[1, :r])
+        hist = np.bincount(gathered[:, :r].ravel(), minlength=r * bins).reshape(r, bins)
         cx, cy = hist[:, :size], hist[:, size:]
         cross[0, lo : lo + r] = np.einsum("ij,ij->i", cy, cx)
         cross[1, lo : lo + r] = np.einsum("ij,ij->i", cy[:, ::-1], cx)

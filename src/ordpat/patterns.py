@@ -135,21 +135,22 @@ def rank_to_pattern(rank: int, h: int) -> OrdinalPattern:
 class PatternSequence:
     """The ordered patterns extracted from one series under a window scheme.
 
-    Each window is stored only as its digits ``b_p``, p = 1..order: the
-    number of earlier indices q < p that stand after index p in the pattern,
-    so ``0 <= b_p <= p``. All else is derived from them on first use and then
-    kept: ``_codes``, one int64 per window that all counting and comparison
-    works on (reflecting a pattern maps its code to ``(order+1)! - 1 -
-    code``); ``rows``, the (n_windows, order+1) int16 index tuples that
-    indexing and iteration read; and :attr:`ranks`, the lexicographic ranks.
-    Exact windows of both schemes get their digits from the sliding
-    recurrence, the others from the comparison kernel.
+    Each window is stored only as its code ``sum_p b_p * p!``, one read-only
+    int64 that all counting and comparison works on; the digit ``b_p``, p =
+    1..order, counts the earlier indices q < p that stand after index p in
+    the pattern, so ``0 <= b_p <= p``. Exact windows of both schemes get
+    their digits from the sliding recurrence, the others from the comparison
+    kernel, and only the codes are kept. ``rows``, the (n_windows, order+1)
+    int16 index tuples that indexing and iteration read, and :attr:`ranks`
+    are decoded from the codes on first use. Orders h >= 20, whose codes
+    overflow int64, are refused.
 
     ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
     rows; each row must be a permutation of ``0..order``.
     """
 
     def __init__(self, order: int, scheme: WindowScheme, rows: Sequence[Sequence[int]]) -> None:
+        _check_order(order)
         rows = np.asarray(rows)
         width = order + 1
         if rows.ndim != 2 or rows.shape[1] != width:
@@ -158,18 +159,17 @@ class PatternSequence:
             raise ValueError(f"rows must hold permutations of 0..{order}")
         # places[p, i] is where index p stands in row i; an index missing from
         # a row (another one repeated) keeps its -1.
-        places = np.full((width, rows.shape[0]), -1, dtype=_counter_dtype(width))
+        places = np.full((width, rows.shape[0]), -1, dtype=np.int8)
         np.put_along_axis(places, rows.T, np.arange(width, dtype=places.dtype)[:, None], axis=0)
         if (places < 0).any():
             raise ValueError(f"rows must hold permutations of 0..{order}")
-        self.order, self.scheme, self._digits = order, scheme, _pattern_codes(-places)
-        self._digits.setflags(write=False)
+        self.order, self.scheme, self._codes = order, scheme, _horner(_pattern_codes(-places))
 
     @classmethod
-    def _from_digits(cls, order: int, scheme: WindowScheme, digits: np.ndarray) -> "PatternSequence":
+    def _from_codes(cls, order: int, scheme: WindowScheme, codes: np.ndarray) -> "PatternSequence":
         seq = cls.__new__(cls)
-        seq.order, seq.scheme, seq._digits = order, scheme, digits
-        digits.setflags(write=False)
+        seq.order, seq.scheme, seq._codes = order, scheme, codes
+        codes.setflags(write=False)
         return seq
 
     @cached_property
@@ -181,38 +181,25 @@ class PatternSequence:
         """
         # Index p stands at place q_p with b_p smaller indices after it, so it
         # adds the Lehmer digit b_p at place q_p: rank = sum_p b_p * (h - q_p)!.
-        _check_int64(self.order)
         weight = np.array([math.factorial(k) for k in range(self.order, -1, -1)], np.int64)
-        places = _decode_places(self._digits)[1:]
-        ranks = (self._digits * weight[places]).sum(axis=0, dtype=np.int64)
+        digits = _code_digits(self._codes, self.order)
+        places = _decode_places(digits)[1:]
+        ranks = (digits * weight[places]).sum(axis=0, dtype=np.int64)
         ranks.setflags(write=False)
         return ranks
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        # Read-only int64 code = sum_p b_p * p!, one-to-one with the patterns
-        # on [0, (h+1)!). Read right-to-left, b_p becomes p - b_p, so the
-        # reflected pattern's code is (h+1)! - 1 - code. Horner's rule, in place.
-        _check_int64(self.order)
-        codes = self._digits[-1].astype(np.int64)
-        for p in range(self.order - 1, 0, -1):
-            codes *= p + 1
-            codes += self._digits[p - 1]
-        codes.setflags(write=False)
-        return codes
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Read-only (n_windows, order+1) int16 index tuples, built on first use."""
         # rows[i, places[p, i]] = p, as a read-only view of the (h+1, n) transpose.
-        places = _decode_places(self._digits)
+        places = _decode_places(_code_digits(self._codes, self.order))
         cols = np.empty(places.shape, dtype=np.int16)
         np.put_along_axis(cols, places, np.arange(self.order + 1, dtype=np.int16)[:, None], axis=0)
         cols.setflags(write=False)
         return cols.T
 
     def __len__(self) -> int:
-        return self._digits.shape[1]
+        return self._codes.size
 
     def __getitem__(self, i: int) -> OrdinalPattern:
         return OrdinalPattern(tuple(int(v) for v in self.rows[i]))
@@ -223,11 +210,6 @@ class PatternSequence:
 
     def patterns(self) -> tuple[OrdinalPattern, ...]:
         return tuple(self)
-
-
-def _counter_dtype(width: int) -> np.dtype:
-    # The smallest signed type holding -width..width: int8 up to h = 126.
-    return np.min_scalar_type(-width)
 
 
 def _pattern_codes(keys: np.ndarray) -> np.ndarray:
@@ -242,11 +224,10 @@ def _pattern_codes(keys: np.ndarray) -> np.ndarray:
     comparisons ``keys[p] > keys[q]`` for q < p enter, one call per p.
     """
     width, n = keys.shape
-    dtype = _counter_dtype(width)
-    digits = np.empty((width - 1, n), dtype)
+    digits = np.empty((width - 1, n), np.int8)
     for p in range(1, width):
         # 1 where p's key is larger than earlier index q's; bytes read as int8.
-        (keys[p] > keys[:p]).view(np.int8).sum(axis=0, dtype=dtype, out=digits[p - 1])
+        (keys[p] > keys[:p]).view(np.int8).sum(axis=0, dtype=np.int8, out=digits[p - 1])
     return digits
 
 
@@ -259,7 +240,7 @@ def _sliding_digits(values: np.ndarray, h: int) -> np.ndarray:
     # first N - h columns are the digits. The comparison writes its 0/1 bytes
     # through a bool view, with no cast to int8.
     n = values.size
-    buf = np.zeros((h + 1, n), _counter_dtype(h + 1))
+    buf = np.zeros((h + 1, n), np.int8)
     for k in range(1, h + 1):
         row = buf[k, : n - k]
         np.less(values[: n - k], values[k:], out=row.view(np.bool_))
@@ -281,13 +262,28 @@ def _decode_places(digits: np.ndarray) -> np.ndarray:
 
 def _code_digits(codes: np.ndarray, order: int) -> np.ndarray:
     # The digits of codes sum_p b_p * p!, b_p in [0, p]: b_p = code // p! mod (p+1).
-    digits = np.empty((order, codes.size), _counter_dtype(order + 1))
+    digits = np.empty((order, codes.size), np.int8)
     for p in range(1, order + 1):
         codes, digits[p - 1] = np.divmod(codes, p + 1)
     return digits
 
 
-def _check_int64(order: int) -> None:
+def _horner(digits: np.ndarray) -> np.ndarray:
+    # Read-only int64 code = sum_p b_p * p! of each column of the (h, n) digits,
+    # one-to-one with the patterns on [0, (h+1)!). Read right-to-left, b_p becomes
+    # p - b_p, so the reflected pattern's code is (h+1)! - 1 - code. Horner's rule.
+    codes = digits[-1].astype(np.int64)
+    for p in range(digits.shape[0] - 1, 0, -1):
+        codes *= p + 1
+        codes += digits[p - 1]
+    codes.setflags(write=False)
+    return codes
+
+
+def _check_order(order: int) -> None:
+    # Below the int64 limit, h <= 19, every digit and place fits in int8.
+    if order < 1:
+        raise ValueError(f"order h must be >= 1, got {order}")
     if math.factorial(order + 1) > 2**63:
         raise UnsupportedOrder(f"ranks of order h={order} overflow 64-bit integers (h <= 19)")
 
@@ -314,11 +310,13 @@ def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.
         order = np.argsort(-keys, axis=0, kind="stable")
         cols = np.arange(n_windows)
         ranked = keys[order, cols]
-        # A gap of more than epsilon to the previous sorted value opens a group.
+        # A gap of more than epsilon to the previous sorted value opens a group;
+        # one past the largest float (near +-1e308) is inf, above any epsilon.
         group = np.zeros(order.shape, dtype=np.intp)
-        np.cumsum(ranked[:-1] - ranked[1:] > epsilon, axis=0, out=group[1:])
+        with np.errstate(over="ignore"):
+            np.cumsum(ranked[:-1] - ranked[1:] > epsilon, axis=0, out=group[1:])
         keys = np.empty_like(group)
-        keys[order, cols] = -group
+        keys[order, cols] = np.negative(group, out=group)
     return keys
 
 
@@ -349,12 +347,11 @@ def pattern_sequence(
         digits = _sliding_digits(values, h)[:, ::stride]
     else:
         digits = _pattern_codes(_window_keys(values, h, stride, epsilon))
-    return PatternSequence._from_digits(h, scheme, digits)
+    return PatternSequence._from_codes(h, scheme, _horner(digits))
 
 
 def _stride(h: int, scheme: WindowScheme) -> int:
     # Block windows start at 0, h, 2h, ...; consecutive blocks share one point.
-    if h < 1:
-        raise ValueError(f"order h must be >= 1, got {h}")
+    _check_order(h)
     return 1 if scheme is WindowScheme.SLIDING else h
 

@@ -407,6 +407,15 @@ def test_inject_huge_magnitude_keeps_correlation_finite(tmp_path, fixtures_dir):
     assert math.isfinite(float(fields["corr_after"]))
 
 
+def test_epsilon_ties_near_the_float_limit_print_no_warning(tmp_path):
+    # Neighbours 1e308 and -1e308 lie 2e308 apart, more than a float holds.
+    path = tmp_path / "extreme.csv"
+    path.write_text("key,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate([1e308, -1e308] * 2)))
+    code, out, err = run_cli_bytes("analyze", "--x", path, "--y", path, "--h", 1, "--epsilon", 0.5)
+    assert (code, err) == (0, b"")
+    assert b"n_coincident\t3\n" in out
+
+
 def test_inject_too_many_outliers_errors(tmp_path):
     run_cli("simulate", "ar1", "--n", 20, "--phi", 0.0, "--rho", 0.0, "--seed", 8,
             "--out-x", tmp_path / "x.csv", "--out-y", tmp_path / "y.csv")

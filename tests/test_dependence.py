@@ -416,6 +416,32 @@ def test_rolling_watch_counts_match_distribution():
             assert ny == dist_y.counts.get(p, 0)
 
 
+def test_rolling_reports_compare_as_their_windows_do():
+    # == reads the columns; it must agree with comparing the window objects.
+    x, y = random_series(90, 36), random_series(90, 37)
+    watch = (OrdinalPattern((0, 1, 2, 3)), OrdinalPattern((3, 2, 1, 0)))
+    base = rolling_analysis(x, y, 3, WindowScheme.SLIDING, 30, 7, watch)
+    changed = base.columns["n_coincident"].copy()
+    changed[-1] += 1
+    counts = base.watch_counts.copy()
+    counts[0, 1, 0] += 1
+    flat = series([2.5] * 90)
+    constant = rolling_analysis(flat, flat, 3, WindowScheme.BLOCK, 30, 7)
+    assert math.isnan(constant.columns["z_eq"][0])
+    pairs = [
+        (base, rolling_analysis(x, y, 3, WindowScheme.SLIDING, 30, 7, watch)),
+        (base, rolling_analysis(x, y, 3, WindowScheme.SLIDING, 30, 7, watch[::-1])),
+        (constant, rolling_analysis(flat, flat, 3, WindowScheme.BLOCK, 30, 7)),
+        (base, rolling_analysis(x, y, 3, WindowScheme.SLIDING, 30, 8, watch)),
+        (base, dataclasses.replace(base, columns={**base.columns, "n_coincident": changed})),
+        (base, dataclasses.replace(base, watch_counts=counts)),
+        (base, rolling_analysis(x, y, 3, WindowScheme.SLIDING, 30, 7, watch[:1])),
+    ]
+    assert [a == b for a, b in pairs] == [True] * 3 + [False] * 4
+    for a, b in pairs:
+        assert (a == b) == (b == a) == (a.windows == b.windows)
+
+
 def test_rolling_watch_accepts_any_iterable_of_patterns_or_index_tuples():
     # The watch list is read once, as OrdinalPatterns or index tuples; a
     # pattern given twice is one key, counted once.

@@ -23,7 +23,6 @@ from ordpat import (
     reflect,
 )
 from ordpat.dependence import _phase_codes
-from ordpat.patterns import _code_digits
 from oracles import (
     inversion_code,
     pattern_list,
@@ -203,11 +202,11 @@ def test_rank_kernel_matches_lex_rank():
         ranks = [lex_rank(p) for p in patterns]
         codes = [inversion_code(p.indices) for p in patterns]
         reflected = [inversion_code(reflect(p).indices) for p in patterns]
-        # Rows as passed in, row- or column-major, and digits read off codes.
+        # Rows as passed in, row- or column-major, and the codes themselves.
         for seq in (
             PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order="C")),
             PatternSequence(h, WindowScheme.SLIDING, np.asarray(rows, order="F")),
-            PatternSequence._from_digits(h, WindowScheme.SLIDING, _code_digits(np.array(codes), h)),
+            PatternSequence._from_codes(h, WindowScheme.SLIDING, np.array(codes, dtype=np.int64)),
         ):
             assert seq.ranks.tolist() == ranks
             assert seq._codes.tolist() == codes
@@ -227,6 +226,24 @@ def test_codes_are_a_bijection_onto_the_factorial_range(h):
     assert not seq._codes.flags.writeable
 
 
+def test_a_sequence_stores_only_its_codes():
+    # One read-only int64 code per window is the only array kept; rows and
+    # ranks join it once read, and no digit matrix outlives extraction.
+    values = np.cumsum(np.random.default_rng(3).standard_normal(40))
+    for seq in (
+        pattern_sequence(values, 3),
+        pattern_sequence(values, 3, WindowScheme.BLOCK),
+        pattern_sequence(values, 3, WindowScheme.BLOCK, 0.5),
+        PatternSequence(2, WindowScheme.SLIDING, [[0, 1, 2], [2, 0, 1]]),
+    ):
+        assert set(vars(seq)) == {"order", "scheme", "_codes"}
+        codes = seq._codes
+        assert codes.dtype == np.int64 and codes.flags.c_contiguous and not codes.flags.writeable
+        seq.rows, seq.ranks
+        assert set(vars(seq)) == {"order", "scheme", "_codes", "rows", "ranks"}
+    assert not hasattr(seq, "_digits") and not hasattr(PatternSequence, "_from_digits")
+
+
 def test_pattern_sequence_rejects_rows_that_are_not_permutations():
     for rows in ([[0, 0, 1], [5, 1, 2]], [[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]], [[0.0, 1.0, 2.0]]):
         with pytest.raises(ValueError, match="permutations"):
@@ -235,17 +252,23 @@ def test_pattern_sequence_rejects_rows_that_are_not_permutations():
         PatternSequence(2, WindowScheme.SLIDING, [[0, 1]])
 
 
-def test_ranks_beyond_64_bits_are_refused():
+def test_ranks_beyond_64_bits_are_refused(monkeypatch):
     seq = pattern_sequence(np.arange(20.0), 19)
     assert seq.ranks.tolist() == [math.factorial(20) - 1]  # (19, 18, ..., 0)
     assert seq._codes.tolist() == [math.factorial(20) - 1]
-    seq = pattern_sequence(np.arange(21.0), 20)
-    assert seq[0].indices == tuple(range(20, -1, -1))  # patterns still extract
+    # h = 20 has 21! patterns, more than int64 holds: no sequence is built,
+    # and the refusal comes before any extraction work.
+    for helper in ("_sliding_digits", "_pattern_codes", "_window_keys"):
+        monkeypatch.setattr(f"ordpat.patterns.{helper}", None)
     message = r"ranks of order h=20 overflow 64-bit integers \(h <= 19\)"
+    for scheme, epsilon in itertools.product(WindowScheme, (0.0, 0.5)):
+        with pytest.raises(UnsupportedOrder, match=message):
+            pattern_sequence(np.arange(21.0), 20, scheme, epsilon)
     with pytest.raises(UnsupportedOrder, match=message):
-        seq.ranks
-    with pytest.raises(UnsupportedOrder, match=message):
-        seq._codes
+        PatternSequence(20, WindowScheme.SLIDING, [list(range(21))])
+    monkeypatch.undo()
+    # A single window still extracts at any length.
+    assert extract_pattern(np.arange(25.0)).indices == tuple(range(24, -1, -1))
 
 
 def test_rank_out_of_range():
@@ -293,6 +316,8 @@ def test_pattern_sequence_validation():
         pattern_sequence([1.0, 2.0], 2)
     with pytest.raises(ValueError):
         pattern_sequence([1.0, 2.0, 3.0], 0)
+    with pytest.raises(ValueError, match="^order h must be >= 1, got 0$"):
+        PatternSequence(0, WindowScheme.SLIDING, [[0]])
     with pytest.raises(NonFiniteValue):
         pattern_sequence([1.0, float("nan"), 3.0], 1)
     with pytest.raises(ValueError, match="^series must be one-dimensional$"):
@@ -360,6 +385,8 @@ def _kernel_inputs():
         # half-unit steps: exact ties, and neighbours 0.5 apart that chain
         "grid": np.cumsum(np.round(rng.standard_normal(60) * 1.5) / 2.0),
         "constant": np.full(60, 2.5),  # every window all ties
+        # neighbours up to 2e308 apart, beyond the largest float; signed zeros
+        "extreme": rng.choice([1e308, -1e308, 5e307, -5e307, 0.0, -0.0, 5e-324], 60),
     }
 
 
@@ -373,7 +400,7 @@ def _assert_matches_oracle(rows, ranks, codes, expected):
     assert (size - 1 - codes).tolist() == [inversion_code(reflect(p).indices) for p in patterns]
 
 
-@pytest.mark.parametrize("data", ["walk", "grid", "constant"])
+@pytest.mark.parametrize("data", ["walk", "grid", "constant", "extreme"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("h", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
@@ -401,7 +428,7 @@ def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
 def _assert_codes_match_oracle(h, codes, expected):
     # Rows and ranks decoded from the codes alone.
     assert codes.flags.c_contiguous and codes.dtype == np.int64
-    seq = PatternSequence._from_digits(h, WindowScheme.SLIDING, _code_digits(codes, h))
+    seq = PatternSequence._from_codes(h, WindowScheme.SLIDING, codes)
     _assert_matches_oracle(seq.rows, seq.ranks, codes, expected)
 
 
