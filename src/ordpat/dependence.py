@@ -468,6 +468,9 @@ def rolling_analysis(
         )
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    # Any step past the series gives the one window at 0; capping it keeps
+    # the start arithmetic inside int64.
+    step = min(step, len(x))
     if watch is None:
         watch = DEFAULT_WATCH if h == 3 else ()
     # Each pattern once, in first-seen order.

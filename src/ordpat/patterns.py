@@ -96,7 +96,7 @@ def extract_pattern(window: Sequence[float], epsilon: float = 0.0) -> OrdinalPat
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"window contains NaN or infinity: {values.tolist()}")
     # Indices by descending key, equal keys in index order, as in the kernel.
-    keys = _window_keys(values, values.size - 1, 1, epsilon)[:, 0]
+    keys = _window_keys(values, values.size - 1, 1, epsilon)[0]
     return OrdinalPattern(tuple(np.argsort(-keys, kind="stable").tolist()))
 
 
@@ -138,12 +138,12 @@ class PatternSequence:
     Each window is stored only as its code ``sum_p b_p * p!``, one read-only
     int64 that all counting and comparison works on; the digit ``b_p``, p =
     1..order, counts the earlier indices q < p that stand after index p in
-    the pattern, so ``0 <= b_p <= p``. Exact windows of both schemes get
-    their digits from the sliding recurrence, the others from the comparison
-    kernel, and only the codes are kept. ``rows``, the (n_windows, order+1)
-    int16 index tuples that indexing and iteration read, and :attr:`ranks`
-    are decoded from the codes on first use. Orders h >= 20, whose codes
-    overflow int64, are refused.
+    the pattern, so ``0 <= b_p <= p``. Every window, exact or with
+    ``epsilon > 0``, of either scheme or from explicit rows, gets its digits
+    from the one sliding recurrence, and only the codes are kept. ``rows``,
+    the (n_windows, order+1) int16 index tuples that indexing and iteration
+    read, and :attr:`ranks` are decoded from the codes on first use. Orders
+    h >= 20, whose codes overflow int64, are refused.
 
     ``PatternSequence(order, scheme, rows)`` builds a sequence from explicit
     rows; each row must be a permutation of ``0..order``.
@@ -157,13 +157,15 @@ class PatternSequence:
             raise ValueError(f"rows must be (n, {width}), got shape {rows.shape}")
         if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() > order):
             raise ValueError(f"rows must hold permutations of 0..{order}")
-        # places[p, i] is where index p stands in row i; an index missing from
-        # a row (another one repeated) keeps its -1.
-        places = np.full((width, rows.shape[0]), -1, dtype=np.int8)
-        np.put_along_axis(places, rows.T, np.arange(width, dtype=places.dtype)[:, None], axis=0)
+        # places[i, p] is where index p stands in row i; an index missing from
+        # a row (another one repeated) keeps its -1. Minus the places are the
+        # row's keys, laid out one window after another as in pattern_sequence.
+        places = np.full((rows.shape[0], width), -1, dtype=np.int8)
+        np.put_along_axis(places, rows, np.arange(width, dtype=places.dtype)[None, :], axis=1)
         if (places < 0).any():
             raise ValueError(f"rows must hold permutations of 0..{order}")
-        self.order, self.scheme, self._codes = order, scheme, _horner(_pattern_codes(-places))
+        digits = _sliding_digits(-places.ravel(), order)[:, ::width]
+        self.order, self.scheme, self._codes = order, scheme, _horner(digits)
 
     @classmethod
     def _from_codes(cls, order: int, scheme: WindowScheme, codes: np.ndarray) -> "PatternSequence":
@@ -212,38 +214,22 @@ class PatternSequence:
         return tuple(self)
 
 
-def _pattern_codes(keys: np.ndarray) -> np.ndarray:
-    """The comparison kernel: the (h, n_windows) digits of the windows in ``keys``.
-
-    It serves windows with ``epsilon > 0`` and explicit rows; exact windows
-    take the sliding recurrence of :func:`_sliding_digits`. ``keys`` is
-    (h+1, n_windows); column i holds window i's keys, and its pattern lists
-    indices by descending key, equal keys earlier index first. Row p-1 of
-    the result is ``b_p``: the count of earlier indices q < p with a smaller
-    key, which are the earlier indices standing after p. Only the strict
-    comparisons ``keys[p] > keys[q]`` for q < p enter, one call per p.
-    """
-    width, n = keys.shape
-    digits = np.empty((width - 1, n), np.int8)
-    for p in range(1, width):
-        # 1 where p's key is larger than earlier index q's; bytes read as int8.
-        (keys[p] > keys[:p]).view(np.int8).sum(axis=0, dtype=np.int8, out=digits[p - 1])
-    return digits
-
-
-def _sliding_digits(values: np.ndarray, h: int) -> np.ndarray:
-    # The kernel's digits of every sliding window with exact ties (every h-th
-    # column for block windows), by the inversion-count recurrence: with
-    # D_k[s] = #{j in 1..k : x[s-j] < x[s]}, b_p(t) = D_p[t+p] and D_k =
-    # D_{k-1} + [x[s-k] < x[s]]. Row k of buf holds D_k from point k on: one
-    # comparison of two shifted slices plus row k-1 read one point later. Its
-    # first N - h columns are the digits. The comparison writes its 0/1 bytes
-    # through a bool view, with no cast to int8.
-    n = values.size
+def _sliding_digits(z: np.ndarray, h: int) -> np.ndarray:
+    # The one digit kernel: b_p(t) = #{q < p : z[t+q] < z[t+p]} for the window
+    # of h+1 keys starting at each point t of the 1-D key array z (larger key
+    # first, equal keys earlier index first: only strict comparisons enter).
+    # By the inversion-count recurrence: with D_k[s] = #{j in 1..k : z[s-j] <
+    # z[s]}, b_p(t) = D_p[t+p] and D_k = D_{k-1} + [z[s-k] < z[s]]. Row k of
+    # buf holds D_k from point k on: one comparison of two shifted slices plus
+    # row k-1 read one point later. Its first N - h columns are the digits.
+    # The comparison writes its 0/1 bytes through a bool view, with no cast to
+    # int8. Since b_p(t) reads only z[t..t+p], windows laid out one after
+    # another get their digits at every (h+1)-th column.
+    n = z.size
     buf = np.zeros((h + 1, n), np.int8)
     for k in range(1, h + 1):
         row = buf[k, : n - k]
-        np.less(values[: n - k], values[k:], out=row.view(np.bool_))
+        np.less(z[: n - k], z[k:], out=row.view(np.bool_))
         row += buf[k - 1, 1 : n - k + 1]
     return buf[1:, : n - h]
 
@@ -289,14 +275,15 @@ def _check_order(order: int) -> None:
 
 
 def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.ndarray:
-    # The (h+1, n_windows) key matrix of the windows starting at 0, stride,
-    # 2*stride, ..., read through a strided view: keys[p, t] = values[t *
-    # stride + p]. With epsilon == 0 (one window of extract_pattern) the keys
-    # are those values themselves. With epsilon > 0, a stable sort finds each
-    # window's tie groups (sorted neighbours at most epsilon apart chain into
-    # one group) and the key of a value is minus its group number, so groups
-    # keep their descending order and the indices inside a group fall back
-    # to index order.
+    # The (n_windows, h+1) keys of the windows starting at 0, stride,
+    # 2*stride, ..., one window a row: the transpose of a strided view with
+    # keys[p, t] = values[t * stride + p]. With epsilon == 0 (one window of
+    # extract_pattern) the keys are those values themselves. With epsilon > 0,
+    # a stable sort finds each window's tie groups (sorted neighbours at most
+    # epsilon apart chain into one group) and the key of a value is minus its
+    # group number, so groups keep their descending order and the indices
+    # inside a group fall back to index order. They are written in Fortran
+    # order, so each window's keys follow the previous window's in memory.
     if not 0.0 <= epsilon < math.inf:  # false for NaN as well
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     values = np.ascontiguousarray(values)
@@ -315,9 +302,9 @@ def _window_keys(values: np.ndarray, h: int, stride: int, epsilon: float) -> np.
         group = np.zeros(order.shape, dtype=np.intp)
         with np.errstate(over="ignore"):
             np.cumsum(ranked[:-1] - ranked[1:] > epsilon, axis=0, out=group[1:])
-        keys = np.empty_like(group)
+        keys = np.empty_like(group, order="F")
         keys[order, cols] = np.negative(group, out=group)
-    return keys
+    return keys.T
 
 
 def pattern_sequence(
@@ -346,7 +333,7 @@ def pattern_sequence(
     if epsilon == 0.0:
         digits = _sliding_digits(values, h)[:, ::stride]
     else:
-        digits = _pattern_codes(_window_keys(values, h, stride, epsilon))
+        digits = _sliding_digits(_window_keys(values, h, stride, epsilon).ravel(), h)[:, :: h + 1]
     return PatternSequence._from_codes(h, scheme, _horner(digits))
 
 

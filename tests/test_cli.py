@@ -580,6 +580,14 @@ def test_non_finite_magnitude_is_single_line_error(tmp_path, fixtures_dir):
     assert not out_x.exists()
 
 
+def test_rolling_step_beyond_int64_prints_the_one_window(fixtures_dir):
+    gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
+    args = ("rolling", "--x", gx, "--y", gy, "--h", 3, "--window", 60)
+    huge = run_cli_bytes(*args, "--step", 2**63)
+    assert huge[0] == 0, huge[2]
+    assert huge == run_cli_bytes(*args, "--step", 61)
+
+
 def test_rolling_epsilon_takes_effect(fixtures_dir):
     gx, gy = fixtures_dir / "golden_x.csv", fixtures_dir / "golden_y.csv"
     args = ("rolling", "--x", gx, "--y", gy, "--h", 3, "--window", 60)

@@ -469,6 +469,18 @@ def test_rolling_validation():
                          watch=(OrdinalPattern((0, 1, 2, 3)),))
 
 
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_rolling_steps_past_the_series_give_its_one_window(scheme, epsilon):
+    # Steps beyond int64 give the same single window as any step past the end.
+    x = random_series(120, 34)
+    y = random_series(120, 35)
+    one = rolling_analysis(x, y, 3, scheme, 60, len(x), epsilon=epsilon)
+    assert len(one) == 1
+    for step in (2**62, 2**63 - 1, 2**63, 10**30):
+        assert rolling_analysis(x, y, 3, scheme, 60, step, epsilon=epsilon) == one
+
+
 # --- increment correlation ----------------------------------------------------------------
 
 

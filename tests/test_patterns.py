@@ -256,9 +256,18 @@ def test_ranks_beyond_64_bits_are_refused(monkeypatch):
     seq = pattern_sequence(np.arange(20.0), 19)
     assert seq.ranks.tolist() == [math.factorial(20) - 1]  # (19, 18, ..., 0)
     assert seq._codes.tolist() == [math.factorial(20) - 1]
+    # The largest order also holds with epsilon ties and from explicit rows.
+    for scheme in WindowScheme:
+        seq = pattern_sequence(np.arange(20.0), 19, scheme, 0.5)
+        assert seq._codes.tolist() == [math.factorial(20) - 1]
+        seq = pattern_sequence(np.arange(40.0, 0.0, -1.0), 19, scheme, 0.5)
+        assert seq._codes.tolist() == [0] * (21 if scheme is WindowScheme.SLIDING else 2)
+    rows = [list(range(19, -1, -1)), list(range(20))]
+    seq = PatternSequence(19, WindowScheme.SLIDING, rows)
+    assert seq._codes.tolist() == [math.factorial(20) - 1, 0]
     # h = 20 has 21! patterns, more than int64 holds: no sequence is built,
     # and the refusal comes before any extraction work.
-    for helper in ("_sliding_digits", "_pattern_codes", "_window_keys"):
+    for helper in ("_sliding_digits", "_window_keys"):
         monkeypatch.setattr(f"ordpat.patterns.{helper}", None)
     message = r"ranks of order h=20 overflow 64-bit integers \(h <= 19\)"
     for scheme, epsilon in itertools.product(WindowScheme, (0.0, 0.5)):
@@ -269,6 +278,30 @@ def test_ranks_beyond_64_bits_are_refused(monkeypatch):
     monkeypatch.undo()
     # A single window still extracts at any length.
     assert extract_pattern(np.arange(25.0)).indices == tuple(range(24, -1, -1))
+
+
+def test_every_extraction_runs_the_sliding_recurrence(monkeypatch):
+    # Exact, epsilon and explicit-row windows of both schemes get their
+    # digits from the one recurrence; there is no second digit kernel.
+    import ordpat.patterns as patterns
+
+    assert not hasattr(patterns, "_pattern_codes")
+    calls = []
+    sliding_digits = patterns._sliding_digits
+
+    def counted(z, h):
+        calls.append(h)
+        return sliding_digits(z, h)
+
+    monkeypatch.setattr(patterns, "_sliding_digits", counted)
+    values = np.cumsum(np.round(np.random.default_rng(8).standard_normal(30) * 1.5) / 2.0)
+    for scheme, epsilon in itertools.product(WindowScheme, (0.0, 0.5)):
+        calls.clear()
+        pattern_sequence(values, 3, scheme, epsilon)
+        assert calls == [3]
+    calls.clear()
+    PatternSequence(3, WindowScheme.SLIDING, [[3, 1, 2, 0], [0, 1, 2, 3]])
+    assert calls == [3]
 
 
 def test_rank_out_of_range():
@@ -375,7 +408,7 @@ def test_nan_or_negative_epsilon_is_rejected():
             pattern_sequence([1.0, 2.0, 3.0, 4.0], 2, epsilon=epsilon)
 
 
-# --- comparison kernel against the sort oracle ----------------------------------
+# --- extraction kernel against the sort oracle ----------------------------------
 
 
 def _kernel_inputs():
@@ -405,10 +438,10 @@ def _assert_matches_oracle(rows, ranks, codes, expected):
 @pytest.mark.parametrize("h", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
-    # Exact windows of both schemes take the inversion-count recurrence, the
-    # rest the comparison kernel; both directly and through the per-phase
-    # codes that delay and rolling read. A block window is the sliding
-    # window starting at a multiple of h.
+    # Every window takes the inversion-count recurrence, exact windows over
+    # their values and the rest over their tie-group keys; both directly and
+    # through the per-phase codes that delay and rolling read. A block window
+    # is the sliding window starting at a multiple of h.
     values = _kernel_inputs()[data]
     stride = 1 if scheme is WindowScheme.SLIDING else h
     for n in (values.size, h + 1):
