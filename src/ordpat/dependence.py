@@ -169,7 +169,15 @@ class RollingReport:
         return np.array_equal(self.watch_counts, other.watch_counts[:, order]) and all(same)
 
     def __repr__(self) -> str:
-        return f"RollingReport(windows={self.windows!r})"
+        # A summary: building every window for it takes seconds on a long
+        # series.
+        keys, last = self.keys, self.window_len - 1
+        starts = self.starts[[0, -1]].tolist() if len(self) else []
+        ends = [(keys[s], keys[s + last]) for s in starts]
+        return (
+            f"RollingReport({len(self)} windows of {self.window_len} points, "
+            f"first and last {ends}, watch={self.watch!r})"
+        )
 
     def key_ranges(self) -> list[tuple[str, str]]:
         """Each window's first and last key."""
@@ -363,7 +371,6 @@ def delay_scan(
     rx = _phase_codes(x, h, scheme, {run[1] for run in runs}, epsilon)
     ry = _phase_codes(y, h, scheme, {run[3] for run in runs}, epsilon)
     size = math.factorial(h + 1)
-    ry_reflected = {p: (size - 1) - codes for p, codes in ry.items()}  # Y read right-to-left
     # Each phase in use is histogrammed once. For d >= 0 the overlap is a
     # prefix of X's phase and a suffix of Y's, for d < 0 the other way round,
     # so the delays sharing a sign and a pair of phases form one chain: with
@@ -386,19 +393,26 @@ def delay_scan(
         # The windows past the chain's shortest overlap, in the order that
         # shorter overlaps leave them out.
         if later:
-            stop = ry[py].size - lo
             ends_x = rx[px][lo:]
-            ends_y = np.array((ry[py][:stop], ry_reflected[py][:stop]))[:, ::-1]
+            ends_y = ry[py][: ry[py].size - lo][::-1]
         else:
             ends_x = rx[px][: rx[px].size - lo][::-1]
-            ends_y = np.array((ry[py][lo:], ry_reflected[py][lo:]))
+            ends_y = ry[py][lo:]
+        ends_y = np.array((ends_y, (size - 1) - ends_y))  # and Y's read right-to-left
         hx, hy = cx[px], cy[py]
         cross[:, members] = (hy @ hx)[:, None] - _cut_sums(hx, hy, ends_x, ends_y)[:, k - lo]
+    # Each delay compares its overlaps on copies of the codes in the
+    # narrowest type that holds size - 1: fewer bytes per comparison. Keys
+    # and histograms stay int64, as _cut_sums multiplies codes.
+    top = np.min_scalar_type(size - 1).type(size - 1)
+    nx = {p: codes.astype(top.dtype) for p, codes in rx.items()}
+    ny = {p: codes.astype(top.dtype) for p, codes in ry.items()}
+    ny_reflected = {p: top - codes for p, codes in ny.items()}  # Y read right-to-left
     reports = []
     for (d, px, ox, py, oy, k), cross_eq, cross_neq in zip(runs, *cross.tolist()):
-        a, b = rx[px][ox : ox + k], slice(oy, oy + k)
-        n_coincident = int(np.count_nonzero(a == ry[py][b]))
-        n_reflected = int(np.count_nonzero(a == ry_reflected[py][b]))
+        a, b = nx[px][ox : ox + k], slice(oy, oy + k)
+        n_coincident = int(np.count_nonzero(a == ny[py][b]))
+        n_reflected = int(np.count_nonzero(a == ny_reflected[py][b]))
         reports.append((d, _report(h, k, n_coincident, n_reflected, cross_eq, cross_neq)))
     return reports
 
@@ -489,9 +503,9 @@ def rolling_analysis(
     rx = _phase_codes(x, h, scheme, phases, epsilon)
     ry = _phase_codes(y, h, scheme, phases, epsilon)
     # A rolling window is one contiguous run of a phase's X codes and of its
-    # Y codes; with Y's lifted by (h+1)!, one bincount of both runs gives
-    # both histograms. Running totals of matching and of mirrored windows
-    # give each window's counts as differences of two totals.
+    # Y codes, and its histogram one row of 2 * (h+1)! cells, Y's codes
+    # lifted by (h+1)! (see _window_sums). Running totals of matching and of
+    # mirrored windows give each window's counts as differences of two totals.
     size = math.factorial(h + 1)
     watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
     watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
@@ -533,12 +547,71 @@ def _window_sums(
     # ... of a phase's X codes rx and Y codes ry: the cross sums cY @ cX and
     # cY(reflected) @ cX (Y's reflected histogram is its histogram reversed,
     # as a reflected code is size - 1 - code), and the entries picks of each
-    # window's histogram (X's codes, then Y's plus size). r windows at a time
-    # are copied into a (2, r, k) matrix, X's runs then Y's, window j lifted
-    # by j * 2 * size, so one bincount makes their r histograms as the rows
-    # of an (r, 2 * size) matrix. Both stay within 2**17 entries (1 MB),
-    # unless one histogram alone is larger (h = 8), when r is 1. Each half is
-    # one contiguous block: the halves of an (r, 2, k) matrix fill slower.
+    # window's histogram (X's codes, then Y's plus size). The histograms come
+    # a chunk of windows at a time, as the rows of an (r, 2 * size) matrix,
+    # from one of two paths. Per window, copied windows bin 2 * k codes.
+    # Prefix rows bin 2 * (gap + k / r) codes of a chunk of r windows, each
+    # at about 1.5 times the cost (the lift is one more pass), and add about
+    # log2(size) * size cells of segment rows, running sums and differences;
+    # the running sums add one cell at a time, and so cost more per cell as
+    # the rows widen. Timed on both paths at 279 shapes (h = 1 to 6, k and
+    # gap from 10 to 30,000), the rule below picked the slower path by more
+    # than 5% once, by tens of ns per window.
+    rows = max(1, min(2**16 // (2 * size), 2**17 // gap, count))
+    if 2 * k > 3 * (gap + k // rows) + size.bit_length() * size + 32:
+        histograms = _prefix_histograms(rx, ry, gap, count, k, size, rows)
+    else:
+        histograms = _copied_histograms(rx, ry, gap, count, k, size)
+    cross = np.empty((2, count), dtype=np.int64)
+    picked = np.empty((count, picks.size), dtype=np.int64)
+    for lo, hist in histograms:
+        r = hist.shape[0]
+        cx, cy = hist[:, :size], hist[:, size:]
+        cross[0, lo : lo + r] = np.einsum("ij,ij->i", cy, cx)
+        cross[1, lo : lo + r] = np.einsum("ij,ij->i", cy[:, ::-1], cx)
+        picked[lo : lo + r] = hist[:, picks]
+    return cross, picked
+
+
+def _prefix_histograms(
+    rx: np.ndarray, ry: np.ndarray, gap: int, count: int, k: int, size: int, rows: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    # rows windows at a time: their starts span at most 2**17 codes and their
+    # prefix rows hold at most 2**17 cells (1 MB). The chunk's window starts
+    # and ends, sorted, cut its codes into segments (empty where two bounds
+    # meet); the codes of segment i are lifted by (i + 1) * 2 * size, Y's by
+    # size more, so one bincount gives every segment's histogram as a row
+    # after a zero row. Summed down the rows, row j is the histogram of the
+    # codes before bound j, and a window's histogram is the row at its end
+    # less the row at its start.
+    bins = 2 * size
+    for lo in range(0, count, rows):
+        r = min(rows, count - lo)
+        starts = np.arange(lo * gap, (lo + r) * gap, gap)
+        bounds = np.concatenate((starts, starts + k))
+        order = bounds.argsort(kind="stable")  # two sorted runs: a linear merge
+        at = np.empty_like(order)  # where each start, then each end, stands
+        at[order] = np.arange(order.size)
+        bounds = bounds[order]
+        first, last = bounds[0], bounds[-1]
+        lift = np.repeat(np.arange(bins, bounds.size * bins, bins), np.diff(bounds))
+        keys = np.empty((2, last - first), dtype=np.int64)
+        np.add(rx[first:last], lift, out=keys[0])
+        np.add(ry[first:last], lift, out=keys[1])
+        keys[1] += size
+        prefix = np.bincount(keys.ravel(), minlength=bounds.size * bins).reshape(-1, bins)
+        np.cumsum(prefix, axis=0, out=prefix)
+        yield lo, prefix[at[r:]] - prefix[at[:r]]
+
+
+def _copied_histograms(
+    rx: np.ndarray, ry: np.ndarray, gap: int, count: int, k: int, size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    # r windows at a time are copied into a (2, r, k) matrix, X's runs then
+    # Y's, window j lifted by j * 2 * size, so one bincount makes their r
+    # histograms. Both stay within 2**17 entries (1 MB), unless one
+    # histogram alone is larger (h = 8), when r is 1. Each half is one
+    # contiguous block: the halves of an (r, 2, k) matrix fill slower.
     bins = 2 * size
     rows = max(1, 2**16 // max(k, size))
     # Row j: the codes of the j-th window, read in place. The last window
@@ -547,18 +620,11 @@ def _window_sums(
     runs_y = as_strided(ry, (count, k), (gap * ry.strides[0], ry.strides[0]), writeable=False)
     lift = np.arange(0, rows * bins, bins)[:, None] + np.array([0, size])[:, None, None]
     gathered = np.empty((2, min(rows, count), k), dtype=np.int64)
-    cross = np.empty((2, count), dtype=np.int64)
-    picked = np.empty((count, picks.size), dtype=np.int64)
     for lo in range(0, count, rows):
         r = min(rows, count - lo)
         np.add(runs_x[lo : lo + r], lift[0, :r], out=gathered[0, :r])
         np.add(runs_y[lo : lo + r], lift[1, :r], out=gathered[1, :r])
-        hist = np.bincount(gathered[:, :r].ravel(), minlength=r * bins).reshape(r, bins)
-        cx, cy = hist[:, :size], hist[:, size:]
-        cross[0, lo : lo + r] = np.einsum("ij,ij->i", cy, cx)
-        cross[1, lo : lo + r] = np.einsum("ij,ij->i", cy[:, ::-1], cx)
-        picked[lo : lo + r] = hist[:, picks]
-    return cross, picked
+        yield lo, np.bincount(gathered[:, :r].ravel(), minlength=r * bins).reshape(r, bins)
 
 
 def _report_columns(n: int, counts: np.ndarray, cross: np.ndarray) -> dict[str, np.ndarray]:

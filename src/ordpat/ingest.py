@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
@@ -43,6 +44,10 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         keys = tuple(map(str, self.keys))
+        # A tuple of exact strs is kept as given, so series built from one
+        # key tuple share it and _check_aligned passes them by identity.
+        if type(self.keys) is tuple and all(map(operator.is_, keys, self.keys)):
+            keys = self.keys
         self._set_checked(keys, self.values)
         if len(set(keys)) != len(keys):
             raise DuplicateKey(

@@ -245,10 +245,29 @@ def test_delay_range_and_zero_row_matches_analyze(pair_files):
         # Both series constant: every window is the identity pattern, base_eq
         # is 1 and both z-scores are None.
         ("golden_rolling_h3_const", ("rolling", "--window", 20, "--step", 7)),
+        # Windows of 107 patterns, one apart: the only golden whose histograms
+        # come from prefix rows rather than copied windows.
+        ("golden_rolling_h3_w110_s1", ("rolling", "--window", 110, "--step", 1)),
     ],
-    ids=["delay", "rolling", "rolling-block-watch", "rolling-dup-watch", "rolling-const"],
+    ids=[
+        "delay", "rolling", "rolling-block-watch", "rolling-dup-watch", "rolling-const",
+        "rolling-prefix-rows",
+    ],
 )
-def test_delay_and_rolling_golden_fixture_frozen_output(fixtures_dir, golden, flags, fmt):
+def test_delay_and_rolling_golden_fixture_frozen_output(
+    monkeypatch, fixtures_dir, golden, flags, fmt
+):
+    import ordpat.dependence as dependence
+
+    chunks = []
+    prefix_histograms = dependence._prefix_histograms
+
+    def counting(*args):
+        for chunk in prefix_histograms(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(dependence, "_prefix_histograms", counting)
     name, *rest = flags
     x, y = ("const", "const") if golden.endswith("const") else ("x", "y")
     code, out, err = run_cli(
@@ -257,6 +276,7 @@ def test_delay_and_rolling_golden_fixture_frozen_output(fixtures_dir, golden, fl
     )
     assert code == 0, err
     assert out == (fixtures_dir / f"{golden}.{fmt}").read_text()
+    assert bool(chunks) == golden.endswith("w110_s1")
 
 
 def test_delay_overflow_is_single_line_error(pair_files):

@@ -596,6 +596,38 @@ def test_delay_scan_equals_analyze_pair_on_each_overlap(xs, ys, h, scheme, epsil
         assert rep == analyze_pair(series(vx), series(vy), h, scheme, epsilon)
 
 
+def _values_with_pattern(pattern):
+    # h + 1 values whose window shows the given pattern: index pattern[j]
+    # holds the j-th smallest value.
+    values = np.empty(len(pattern))
+    values[list(pattern)] = np.arange(len(pattern))
+    return values
+
+
+@pytest.mark.parametrize("h", [4, 5, 7, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delay_scan_compares_codes_up_to_the_top_of_each_narrow_type(h, scheme):
+    # The delays compare narrow copies of the codes: uint8 up to h = 4,
+    # uint16 up to h = 7 and uint32 at h = 8. Rising windows have code 0,
+    # falling ones (h+1)! - 1, so reflected codes reach the top of each type.
+    n = 3 * h + 10
+    rise, fall = np.arange(n, dtype=float), -np.arange(n, dtype=float)
+    for xs, ys in itertools.product((rise, fall), repeat=2):
+        scan = delay_scan(series(xs), series(ys), h, scheme, range(-3, 4))
+        for d, rep in scan:
+            vx, vy = (xs[: n - d], ys[d:]) if d >= 0 else (xs[-d:], ys[: n + d])
+            assert rep == analyze_pair(series(vx), series(vy), h, scheme)
+    # The top code and the codes it would meet if it were cut to 8 or 16
+    # bits: none of them match, and only code 0 mirrors it.
+    top = math.factorial(h + 1) - 1
+    others = sorted({top % 2**8, top % 2**16, 0} - {top})
+    decoded = PatternSequence._from_codes(h, scheme, np.array([top, *others])).rows.tolist()
+    x = series(_values_with_pattern(decoded[0]))
+    for code, row in zip(others, decoded[1:]):
+        [(_, rep)] = delay_scan(x, series(_values_with_pattern(row)), h, scheme, [0])
+        assert (rep.n_coincident, rep.n_reflected) == (0, int(code == 0))
+
+
 @pytest.mark.parametrize("h", [1, 2, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 @pytest.mark.parametrize("data, epsilon", ORACLE_CASES)
@@ -658,6 +690,82 @@ def test_rolling_windows_equal_analyze_pair_on_each_slice(h, scheme, epsilon, xs
         assert w.report == analyze_pair(series(vx), series(vy), h, scheme, epsilon)
         if constant:
             assert (w.report.base_eq, w.report.z_eq, w.report.z_neq) == (1.0, None, None)
+
+
+# Per order: series length, a window under the rule between copied windows
+# and prefix rows, read at step 3, and one above it, read at steps 1 and 5.
+# At h = 3 and 4 the sliding windows above it at step 1 span several chunks.
+PREFIX_CASES = {1: (400, 10, 60), 2: (500, 20, 80), 3: (1800, 40, 280), 4: (2400, 30, 2000)}
+
+
+@pytest.mark.parametrize("h", sorted(PREFIX_CASES))
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_rolling_prefix_rows_and_copied_windows_equal_analyze_pair(
+    monkeypatch, h, scheme, epsilon
+):
+    import ordpat.dependence as dependence
+
+    used = set()
+    for name in ("_prefix_histograms", "_copied_histograms"):
+        real = getattr(dependence, name)
+        monkeypatch.setattr(
+            dependence, name, lambda *args, real=real, name=name: used.add(name) or real(*args)
+        )
+    n, short, long = PREFIX_CASES[h]
+    stride = 1 if scheme is WindowScheme.SLIDING else h
+    rng = np.random.default_rng(h)
+    values = np.cumsum(rng.integers(-2, 3, size=(2, n)), axis=1) / 2.0
+    keys = tuple(map(str, range(n)))
+    x, y = (TimeSeries(keys, v) for v in values)
+    watch = (OrdinalPattern(tuple(range(h + 1))), OrdinalPattern(tuple(range(h, -1, -1))))
+    # shown[j, s]: whether the sliding window at s of X (j = 0) or Y (j = 1)
+    # shows watch[0] and watch[1]; a window's pattern reads only its points.
+    rows = [pattern_sequence(v, h, WindowScheme.SLIDING, epsilon).rows for v in values]
+    shown = np.array([[(r == p.indices).all(axis=1) for r in rows] for p in watch])
+    for window_len, step in ((short, 3), (long, 1), (long, 5)):
+        used.clear()
+        rolling = rolling_analysis(x, y, h, scheme, window_len, step, watch, epsilon)
+        assert used == {"_copied_histograms" if window_len == short else "_prefix_histograms"}
+        starts = range(0, n - window_len + 1, step)
+        assert rolling.starts.tolist() == list(starts)
+        for w, start in zip(rolling, starts):
+            vx, vy = (TimeSeries(keys[:window_len], v[start : start + window_len]) for v in values)
+            assert w.report == analyze_pair(vx, vy, h, scheme, epsilon)
+            counts = shown[:, :, start : start + window_len - h : stride].sum(axis=2)
+            assert w.watch_counts == dict(zip(watch, map(tuple, counts.tolist())))
+
+
+def test_rolling_bins_each_code_about_once_when_windows_overlap(monkeypatch):
+    # Windows of 1000 points 100 apart: binned one window at a time, each
+    # code would be binned about 10 times per series, 20n codes in all.
+    # Prefix rows bin each code once per chunk of windows, about 2n.
+    import ordpat.dependence as dependence
+
+    binned = []
+    bincount = np.bincount
+
+    def counting(codes, *args, **kwargs):
+        binned.append(len(codes))
+        return bincount(codes, *args, **kwargs)
+
+    monkeypatch.setattr(dependence.np, "bincount", counting)
+    n = 150_000
+    x, y = random_series(n, 74), random_series(n, 75)
+    rolling = rolling_analysis(x, y, 3, WindowScheme.SLIDING, 1000, 100)
+    assert len(rolling) == (n - 1000) // 100 + 1
+    assert len(binned) > 1  # more than one chunk
+    assert sum(binned) <= 2.05 * n
+
+
+def test_rolling_repr_summarises_without_building_windows():
+    x, y = random_series(500, 76), random_series(500, 77)
+    rolling = rolling_analysis(x, y, 3, WindowScheme.SLIDING, 100, 1)
+    assert repr(rolling) == (
+        "RollingReport(401 windows of 100 points, first and last "
+        f"[('0', '99'), ('400', '499')], watch={DEFAULT_WATCH!r})"
+    )
+    assert "windows" not in vars(rolling)
 
 
 def test_rolling_quotients_are_python_divisions_beyond_2_to_53():

@@ -121,6 +121,25 @@ def test_timeseries_values_are_read_only():
         ts.values[0] = 5.0
 
 
+def test_series_built_from_one_tuple_of_strs_share_it():
+    keys = tuple(f"d{i}" for i in range(50))
+    x, y = TimeSeries(keys, np.arange(50.0), "x"), TimeSeries(keys, np.ones(50), "y")
+    assert x.keys is keys and y.keys is keys
+    ingest._check_aligned(x, y)  # passes by identity, no key is compared
+    # Any other keys still become a new tuple of exact strs.
+    for given in (list(keys), tuple(map(np.str_, keys)), tuple(range(50))):
+        series = TimeSeries(given, np.arange(50.0))
+        assert series.keys is not given and type(series.keys) is tuple
+        assert all(type(k) is str for k in series.keys)
+        assert series.keys == tuple(map(str, given))
+    with pytest.raises(ingest.NotAligned):
+        ingest._check_aligned(x, TimeSeries(keys[1:] + ("e",), np.ones(50)))
+    with pytest.raises(ingest.NotAligned):
+        ingest._check_aligned(x, TimeSeries(keys[1:], np.ones(49)))
+    with pytest.raises(DuplicateKey, match="'d3'"):
+        TimeSeries(keys[:4] + ("d3",), np.ones(5))
+
+
 def test_align_identity_when_keys_match():
     a = TimeSeries(("d1", "d2"), np.array([1.0, 2.0]), "a")
     b = TimeSeries(("d1", "d2"), np.array([3.0, 4.0]), "b")
