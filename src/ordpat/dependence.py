@@ -215,9 +215,13 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
 
 def _distinct(seq: PatternSequence) -> tuple[PatternSequence, np.ndarray]:
     # Each distinct pattern of seq once, in code order, and its count. Only
-    # these patterns are decoded from their codes.
-    codes, counts = np.unique(seq._codes, return_counts=True)
-    return PatternSequence._from_codes(seq.order, seq.scheme, codes), counts
+    # these patterns are decoded from their codes. They are sorted in at
+    # least 16 bits: on 200k codes (numpy 2.4, x86-64) numpy's default sort
+    # took about 33 ns per uint8 code, against 1 ns per uint16 one.
+    codes = seq._codes
+    wide = codes.astype(np.promote_types(codes.dtype, np.uint16), copy=False)
+    distinct, counts = np.unique(wide, return_counts=True)
+    return PatternSequence._from_codes(seq.order, seq.scheme, distinct.astype(codes.dtype)), counts
 
 
 def coincident_reflected_counts(
@@ -230,7 +234,8 @@ def coincident_reflected_counts(
         raise OrderMismatch(f"order {seq_x.order} vs {seq_y.order}")
     rx, ry = seq_x._codes, seq_y._codes
     coincident = int(np.count_nonzero(rx == ry))
-    reflected = int(np.count_nonzero(rx + ry == math.factorial(seq_x.order + 1) - 1))
+    # Reflected: rx == (h+1)! - 1 - ry, which stays in the codes' type.
+    reflected = int(np.count_nonzero(rx == (math.factorial(seq_x.order + 1) - 1) - ry))
     return coincident, reflected
 
 
@@ -401,18 +406,12 @@ def delay_scan(
         ends_y = np.array((ends_y, (size - 1) - ends_y))  # and Y's read right-to-left
         hx, hy = cx[px], cy[py]
         cross[:, members] = (hy @ hx)[:, None] - _cut_sums(hx, hy, ends_x, ends_y)[:, k - lo]
-    # Each delay compares its overlaps on copies of the codes in the
-    # narrowest type that holds size - 1: fewer bytes per comparison. Keys
-    # and histograms stay int64, as _cut_sums multiplies codes.
-    top = np.min_scalar_type(size - 1).type(size - 1)
-    nx = {p: codes.astype(top.dtype) for p, codes in rx.items()}
-    ny = {p: codes.astype(top.dtype) for p, codes in ry.items()}
-    ny_reflected = {p: top - codes for p, codes in ny.items()}  # Y read right-to-left
+    ry_reflected = {p: (size - 1) - codes for p, codes in ry.items()}  # Y read right-to-left
     reports = []
     for (d, px, ox, py, oy, k), cross_eq, cross_neq in zip(runs, *cross.tolist()):
-        a, b = nx[px][ox : ox + k], slice(oy, oy + k)
-        n_coincident = int(np.count_nonzero(a == ny[py][b]))
-        n_reflected = int(np.count_nonzero(a == ny_reflected[py][b]))
+        a, b = rx[px][ox : ox + k], slice(oy, oy + k)
+        n_coincident = int(np.count_nonzero(a == ry[py][b]))
+        n_reflected = int(np.count_nonzero(a == ry_reflected[py][b]))
         reports.append((d, _report(h, k, n_coincident, n_reflected, cross_eq, cross_neq)))
     return reports
 
@@ -426,13 +425,15 @@ def _cut_sums(hx: np.ndarray, hy: np.ndarray, ends_x: np.ndarray, ends_y: np.nda
     # A matching pair (s, t) is counted at min(s, t), by searching sorted keys
     # (r * (h+1)! + code) * span + position, never with a len(ends_x) x
     # len(ends_y) matrix. Codes are below (h+1)!, so a key overflows int64
-    # only where the dense histograms could not be held.
+    # only where the dense histograms could not be held; the codes are
+    # widened to int64 before they are multiplied, as their own narrow type
+    # would wrap.
     nx, ny = ends_x.size, ends_y.shape[1]
     span = max(nx, ny) + 1
     at = np.arange(span)
     lift = np.array([[0], [hx.size]])
-    first_x = ends_x * span  # a window's key less its position
-    first_y = ends_y * span
+    first_x = ends_x.astype(np.int64) * span  # a window's key less its position
+    first_y = ends_y.astype(np.int64) * span
     keys_x = first_x + at[:nx]
     keys_x.sort()
     keys_y = (first_y + at[:ny] + lift * span).ravel()
@@ -509,7 +510,8 @@ def rolling_analysis(
     size = math.factorial(h + 1)
     watch_rows = np.array([p.indices for p in watch], dtype=np.int16).reshape(-1, h + 1)
     watch_codes = PatternSequence(h, WindowScheme.SLIDING, watch_rows)._codes
-    watch_keys = (watch_codes[:, None] + (0, size)).ravel()  # X's, then Y's, per pattern
+    # X's, then Y's, per pattern; keys are int64, as bincount's are.
+    watch_keys = (watch_codes.astype(np.int64)[:, None] + (0, size)).ravel()
     matches = np.empty((2, starts.size), dtype=np.int64)  # rows: coincident, reflected
     cross = np.empty((2, starts.size), dtype=np.int64)  # rows: cY @ cX, cY(reflected) @ cX
     watched = np.empty((starts.size, watch_keys.size), dtype=np.int64)
@@ -519,7 +521,7 @@ def rolling_analysis(
         a, b = rx[p], ry[p]
         totals = np.zeros((2, a.size + 1), dtype=np.int32)
         np.cumsum(a == b, dtype=np.int32, out=totals[0, 1:])
-        np.cumsum(a + b == size - 1, dtype=np.int32, out=totals[1, 1:])
+        np.cumsum(a == (size - 1) - b, dtype=np.int32, out=totals[1, 1:])
         here = phase == p
         first = offset[here]
         matches[:, here] = totals[:, first + k] - totals[:, first]

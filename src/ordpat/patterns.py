@@ -136,7 +136,9 @@ class PatternSequence:
     """The ordered patterns extracted from one series under a window scheme.
 
     Each window is stored only as its code ``sum_p b_p * p!``, one read-only
-    int64 that all counting and comparison works on; the digit ``b_p``, p =
+    integer of type ``_code_type(order)`` that all counting and comparison
+    works on: the narrowest of uint8, uint16 and uint32 that holds
+    ``(order+1)! - 1``, and int64 from order 12 on. The digit ``b_p``, p =
     1..order, counts the earlier indices q < p that stand after index p in
     the pattern, so ``0 <= b_p <= p``. Every window, exact or with
     ``epsilon > 0``, of either scheme or from explicit rows, gets its digits
@@ -255,15 +257,33 @@ def _code_digits(codes: np.ndarray, order: int) -> np.ndarray:
 
 
 def _horner(digits: np.ndarray) -> np.ndarray:
-    # Read-only int64 code = sum_p b_p * p! of each column of the (h, n) digits,
-    # one-to-one with the patterns on [0, (h+1)!). Read right-to-left, b_p becomes
-    # p - b_p, so the reflected pattern's code is (h+1)! - 1 - code. Horner's rule.
-    codes = digits[-1].astype(np.int64)
+    # Read-only code = sum_p b_p * p! of each column of the (h, n) digits, of
+    # type _code_type(h), one-to-one with the patterns on [0, (h+1)!). Read
+    # right-to-left, b_p becomes p - b_p, so the reflected pattern's code is
+    # (h+1)! - 1 - code. Horner's rule; every partial sum is below (h+1)!, so
+    # none wraps. The digits lie in 0..p and are added as uint8, which the
+    # unsigned codes take without promotion.
+    digits = digits.view(np.uint8)
+    codes = digits[-1].astype(_code_type(digits.shape[0]))
     for p in range(digits.shape[0] - 1, 0, -1):
         codes *= p + 1
         codes += digits[p - 1]
     codes.setflags(write=False)
     return codes
+
+
+# The type of order h's codes, by h, looked up once per extraction: the
+# narrowest of uint8, uint16 and uint32 that holds the top code (h+1)! - 1,
+# else int64 (h <= 19, see _check_order).
+_CODE_TYPES = tuple(
+    np.min_scalar_type(top) if top < 2**32 else np.dtype(np.int64)
+    for top in (math.factorial(h + 1) - 1 for h in range(20))
+)
+
+
+def _code_type(order: int) -> np.dtype:
+    """The dtype of the codes of order ``order``, for 1 <= order <= 19."""
+    return _CODE_TYPES[order]
 
 
 def _check_order(order: int) -> None:

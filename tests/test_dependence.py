@@ -607,9 +607,9 @@ def _values_with_pattern(pattern):
 @pytest.mark.parametrize("h", [4, 5, 7, 8])
 @pytest.mark.parametrize("scheme", list(WindowScheme))
 def test_delay_scan_compares_codes_up_to_the_top_of_each_narrow_type(h, scheme):
-    # The delays compare narrow copies of the codes: uint8 up to h = 4,
-    # uint16 up to h = 7 and uint32 at h = 8. Rising windows have code 0,
-    # falling ones (h+1)! - 1, so reflected codes reach the top of each type.
+    # The delays compare the codes in their own narrow type: uint8 up to
+    # h = 4, uint16 up to h = 7 and uint32 at h = 8. Rising windows have code
+    # (h+1)! - 1, the top of each type, and falling ones 0.
     n = 3 * h + 10
     rise, fall = np.arange(n, dtype=float), -np.arange(n, dtype=float)
     for xs, ys in itertools.product((rise, fall), repeat=2):
@@ -626,6 +626,43 @@ def test_delay_scan_compares_codes_up_to_the_top_of_each_narrow_type(h, scheme):
     for code, row in zip(others, decoded[1:]):
         [(_, rep)] = delay_scan(x, series(_values_with_pattern(row)), h, scheme, [0])
         assert (rep.n_coincident, rep.n_reflected) == (0, int(code == 0))
+
+
+def _narrow_code_pairs(n, seed):
+    # Two walks, and strictly rising and falling series, whose windows have
+    # codes (h+1)! - 1, the top of each code type, and 0.
+    walks = np.cumsum(np.random.default_rng(seed).standard_normal((2, n)), axis=1)
+    rise, fall = np.arange(n, dtype=float), -np.arange(n, dtype=float)
+    return [tuple(walks), (rise, fall), (fall, fall), (fall, walks[1])]
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 7, 8])
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_delay_scan_over_wide_delays_equals_analyze_pair_on_each_overlap(h, scheme):
+    # Delays -40..40 leave up to 40 windows out at each end of a chain, so
+    # _cut_sums' keys code * 41 + position pass the top of uint8 at h = 3 and
+    # 4 and of uint16 at h = 7: the codes must be widened before they are
+    # multiplied.
+    delays = range(-40, 41)
+    for n in (60, 400):
+        for xs, ys in _narrow_code_pairs(n, h):
+            scan = delay_scan(series(xs), series(ys), h, scheme, delays)
+            assert [d for d, _ in scan] == list(delays)
+            for d, rep in scan:
+                vx, vy = (xs[: n - d], ys[d:]) if d >= 0 else (xs[-d:], ys[: n + d])
+                assert rep == analyze_pair(series(vx), series(vy), h, scheme)
+
+
+@pytest.mark.parametrize("h", [4, 5, 7, 8, 11, 12])
+def test_coincident_reflected_counts_at_the_top_of_each_narrow_type(h):
+    # Rising windows have code (h+1)! - 1 and falling ones 0; a rise then a
+    # fall adds the codes of the windows across the peak.
+    n = 3 * h + 8
+    rise, fall = np.arange(n, dtype=float), -np.arange(n, dtype=float)
+    peak = -np.abs(rise - n / 2 - 0.25)
+    for xs, ys in itertools.product((rise, fall, peak, -peak), repeat=2):
+        got = coincident_reflected_counts(pattern_sequence(xs, h), pattern_sequence(ys, h))
+        assert got == pair_counts(xs.tolist(), ys.tolist(), h)
 
 
 @pytest.mark.parametrize("h", [1, 2, 8])
@@ -698,12 +735,9 @@ def test_rolling_windows_equal_analyze_pair_on_each_slice(h, scheme, epsilon, xs
 PREFIX_CASES = {1: (400, 10, 60), 2: (500, 20, 80), 3: (1800, 40, 280), 4: (2400, 30, 2000)}
 
 
-@pytest.mark.parametrize("h", sorted(PREFIX_CASES))
-@pytest.mark.parametrize("scheme", list(WindowScheme))
-@pytest.mark.parametrize("epsilon", [0.0, 0.5])
-def test_rolling_prefix_rows_and_copied_windows_equal_analyze_pair(
-    monkeypatch, h, scheme, epsilon
-):
+@pytest.fixture
+def histogram_paths(monkeypatch):
+    # The names of the rolling histogram paths that ran since it was cleared.
     import ordpat.dependence as dependence
 
     used = set()
@@ -712,28 +746,74 @@ def test_rolling_prefix_rows_and_copied_windows_equal_analyze_pair(
         monkeypatch.setattr(
             dependence, name, lambda *args, real=real, name=name: used.add(name) or real(*args)
         )
-    n, short, long = PREFIX_CASES[h]
+    return used
+
+
+def _assert_rolling_equals_slices(rolling, values, h, scheme, epsilon, watch):
+    # Every window's report equals analyze_pair on its slice of the two
+    # series values, and its watch counts are those of the slice's windows.
     stride = 1 if scheme is WindowScheme.SLIDING else h
+    keys, window_len = rolling.keys, rolling.window_len
+    # shown[j, s]: whether the sliding window at s of X (j = 0) or Y (j = 1)
+    # shows each watched pattern; a window's pattern reads only its points.
+    rows = [pattern_sequence(v, h, WindowScheme.SLIDING, epsilon).rows for v in values]
+    shown = np.array([[(r == p.indices).all(axis=1) for r in rows] for p in watch])
+    for w, start in zip(rolling, rolling.starts.tolist()):
+        vx, vy = (TimeSeries(keys[:window_len], v[start : start + window_len]) for v in values)
+        assert w.report == analyze_pair(vx, vy, h, scheme, epsilon)
+        counts = shown[:, :, start : start + window_len - h : stride].sum(axis=2)
+        assert w.watch_counts == dict(zip(watch, map(tuple, counts.tolist())))
+
+
+@pytest.mark.parametrize("h", sorted(PREFIX_CASES))
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_rolling_prefix_rows_and_copied_windows_equal_analyze_pair(
+    histogram_paths, h, scheme, epsilon
+):
+    n, short, long = PREFIX_CASES[h]
     rng = np.random.default_rng(h)
     values = np.cumsum(rng.integers(-2, 3, size=(2, n)), axis=1) / 2.0
     keys = tuple(map(str, range(n)))
     x, y = (TimeSeries(keys, v) for v in values)
     watch = (OrdinalPattern(tuple(range(h + 1))), OrdinalPattern(tuple(range(h, -1, -1))))
-    # shown[j, s]: whether the sliding window at s of X (j = 0) or Y (j = 1)
-    # shows watch[0] and watch[1]; a window's pattern reads only its points.
-    rows = [pattern_sequence(v, h, WindowScheme.SLIDING, epsilon).rows for v in values]
-    shown = np.array([[(r == p.indices).all(axis=1) for r in rows] for p in watch])
     for window_len, step in ((short, 3), (long, 1), (long, 5)):
-        used.clear()
+        histogram_paths.clear()
         rolling = rolling_analysis(x, y, h, scheme, window_len, step, watch, epsilon)
-        assert used == {"_copied_histograms" if window_len == short else "_prefix_histograms"}
-        starts = range(0, n - window_len + 1, step)
-        assert rolling.starts.tolist() == list(starts)
-        for w, start in zip(rolling, starts):
-            vx, vy = (TimeSeries(keys[:window_len], v[start : start + window_len]) for v in values)
-            assert w.report == analyze_pair(vx, vy, h, scheme, epsilon)
-            counts = shown[:, :, start : start + window_len - h : stride].sum(axis=2)
-            assert w.watch_counts == dict(zip(watch, map(tuple, counts.tolist())))
+        assert histogram_paths == {
+            "_copied_histograms" if window_len == short else "_prefix_histograms"
+        }
+        assert rolling.starts.tolist() == list(range(0, n - window_len + 1, step))
+        _assert_rolling_equals_slices(rolling, values, h, scheme, epsilon, watch)
+
+
+# Per order: series length and (window, step) cases. At h = 4 and 5 the
+# sliding windows of the first case take prefix rows and the second copied
+# windows; h = 7 and 8 take copied windows only, a window at a time.
+NARROW_ROLLING_CASES = {
+    4: (1000, [(600, 7), (30, 3)]),
+    5: (5000, [(4400, 50), (40, 97)]),
+    7: (120, [(60, 1), (30, 11)]),
+    8: (60, [(30, 7)]),
+}
+
+
+@pytest.mark.parametrize("h", sorted(NARROW_ROLLING_CASES))
+@pytest.mark.parametrize("scheme", list(WindowScheme))
+def test_rolling_counts_codes_up_to_the_top_of_each_narrow_type(histogram_paths, h, scheme):
+    n, cases = NARROW_ROLLING_CASES[h]
+    keys = tuple(map(str, range(n)))
+    top = OrdinalPattern(tuple(range(h, -1, -1)))  # a rising window's, code (h+1)! - 1
+    watch = (top, reflect(top))
+    for values in _narrow_code_pairs(n, 10 + h):
+        x, y = (TimeSeries(keys, v) for v in values)
+        for window_len, step in cases:
+            rolling = rolling_analysis(x, y, h, scheme, window_len, step, watch)
+            assert rolling.starts.tolist() == list(range(0, n - window_len + 1, step))
+            _assert_rolling_equals_slices(rolling, values, h, scheme, 0.0, watch)
+    if scheme is WindowScheme.SLIDING:
+        paths = {"_copied_histograms", "_prefix_histograms"} if h <= 5 else {"_copied_histograms"}
+        assert histogram_paths == paths
 
 
 def test_rolling_bins_each_code_about_once_when_windows_overlap(monkeypatch):

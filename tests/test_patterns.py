@@ -22,7 +22,8 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
-from ordpat.dependence import _phase_codes
+from ordpat.dependence import _distinct, _phase_codes
+from ordpat.patterns import _code_type
 from oracles import (
     inversion_code,
     pattern_list,
@@ -227,8 +228,9 @@ def test_codes_are_a_bijection_onto_the_factorial_range(h):
 
 
 def test_a_sequence_stores_only_its_codes():
-    # One read-only int64 code per window is the only array kept; rows and
-    # ranks join it once read, and no digit matrix outlives extraction.
+    # One read-only code of type _code_type(order) per window is the only
+    # array kept; rows and ranks join it once read, and no digit matrix
+    # outlives extraction.
     values = np.cumsum(np.random.default_rng(3).standard_normal(40))
     for seq in (
         pattern_sequence(values, 3),
@@ -238,10 +240,40 @@ def test_a_sequence_stores_only_its_codes():
     ):
         assert set(vars(seq)) == {"order", "scheme", "_codes"}
         codes = seq._codes
-        assert codes.dtype == np.int64 and codes.flags.c_contiguous and not codes.flags.writeable
+        assert codes.dtype == _code_type(seq.order)
+        assert codes.flags.c_contiguous and not codes.flags.writeable
         seq.rows, seq.ranks
         assert set(vars(seq)) == {"order", "scheme", "_codes", "rows", "ranks"}
     assert not hasattr(seq, "_digits") and not hasattr(PatternSequence, "_from_digits")
+
+
+@pytest.mark.parametrize("h", range(1, 20))
+def test_code_type_is_the_narrowest_that_holds_the_top_code(h):
+    # uint8, uint16 or uint32, the first that holds (h+1)! - 1, else int64;
+    # every sequence the library builds stores its codes in that type.
+    top = math.factorial(h + 1) - 1
+    unsigned = [np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)]
+    code_type = _code_type(h)
+    assert code_type in unsigned or code_type == np.int64
+    assert np.iinfo(code_type).max >= top
+    narrower = unsigned[: unsigned.index(code_type)] if code_type in unsigned else unsigned
+    assert all(np.iinfo(t).max < top for t in narrower)
+    n = 3 * h + 4
+    values = np.cumsum(np.random.default_rng(h).integers(-2, 3, n)) / 2.0
+    series = TimeSeries(tuple(map(str, range(n))), values)
+    seqs = [
+        PatternSequence(h, WindowScheme.SLIDING, [list(range(h + 1)), list(range(h, -1, -1))]),
+        pattern_sequence(np.arange(h + 1.0), h),  # the top code
+    ]
+    for scheme, epsilon in itertools.product(WindowScheme, (0.0, 0.5)):
+        seq = pattern_sequence(values, h, scheme, epsilon)
+        seqs += [seq, _distinct(seq)[0]]
+        stride = 1 if scheme is WindowScheme.SLIDING else h
+        phases = _phase_codes(series, h, scheme, range(stride), epsilon).values()
+        seqs += [PatternSequence._from_codes(h, scheme, codes) for codes in phases]
+    assert seqs[1]._codes.tolist() == [top]
+    for seq in seqs:
+        assert seq._codes.dtype == code_type
 
 
 def test_pattern_sequence_rejects_rows_that_are_not_permutations():
@@ -460,7 +492,7 @@ def test_comparison_kernel_matches_sort_oracle(data, epsilon, h, scheme):
 
 def _assert_codes_match_oracle(h, codes, expected):
     # Rows and ranks decoded from the codes alone.
-    assert codes.flags.c_contiguous and codes.dtype == np.int64
+    assert codes.flags.c_contiguous and codes.dtype == _code_type(h)
     seq = PatternSequence._from_codes(h, WindowScheme.SLIDING, codes)
     _assert_matches_oracle(seq.rows, seq.ranks, codes, expected)
 
