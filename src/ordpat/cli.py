@@ -30,9 +30,9 @@ import numpy as np
 
 from .dependence import (
     DependenceReport,
-    _distinct,
     analyze_pair,
     delay_scan,
+    distribution,
     increment_correlation,
     rolling_analysis,
 )
@@ -149,13 +149,12 @@ def cmd_dist(args: argparse.Namespace) -> str:
     series = read_csv(args.x, args.key, args.value)
     seq = pattern_sequence(series, args.h, _scheme(args), args.epsilon)
     total = len(seq)
-    distinct, seen = _distinct(seq)
+    distinct, seen = distribution(seq).distinct
     counts = np.zeros(math.factorial(args.h + 1), dtype=np.int64)
     counts[distinct.ranks] = seen
-    counts = counts.tolist()
 
     # permutations() yields the patterns in lexicographic rank order.
-    rows = zip(itertools.permutations(range(args.h + 1)), counts)
+    rows = zip(itertools.permutations(range(args.h + 1)), counts.tolist())
     if args.format == "json":
         json_rows = [
             {"pattern": list(indices), "count": count, "freq": count / total}

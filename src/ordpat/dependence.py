@@ -54,30 +54,26 @@ DEFAULT_WATCH: tuple[OrdinalPattern, ...] = (
 )
 
 
-@dataclass(frozen=True)
 class PatternDistribution:
     """Per-pattern counts and relative frequencies for one series.
 
     ``counts`` maps each observed pattern to its count, keyed in ascending
     lexicographic rank order; unobserved patterns simply have frequency 0.
+    :attr:`distinct` holds the same counts by code, as counting reads them;
+    either form is made from the other on first read.
     """
 
-    order: int
-    counts: Mapping[OrdinalPattern, int]
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
+    def __init__(self, order: int, counts: Mapping[OrdinalPattern, int], total: int) -> None:
+        if total < 1:
             raise EmptySequence("distribution needs at least one pattern")
-        if sum(self.counts.values()) != self.total:
+        if sum(counts.values()) != total:
             raise ValueError("counts do not sum to total")
-        for p, count in self.counts.items():
-            if p.order != self.order:
-                raise OrderMismatch(
-                    f"pattern {p} has order {p.order}, distribution has {self.order}"
-                )
+        for p, count in counts.items():
+            if p.order != order:
+                raise OrderMismatch(f"pattern {p} has order {p.order}, distribution has {order}")
             if not isinstance(count, (int, np.integer)) or count < 0:
                 raise ValueError(f"pattern {p} has count {count!r}, not an integer >= 0")
+        self.order, self.total, self.counts = order, total, counts
 
     @classmethod
     def from_counts(cls, counts: Mapping[OrdinalPattern, int]) -> "PatternDistribution":
@@ -88,9 +84,34 @@ class PatternDistribution:
         order = next(iter(ordered)).order
         return cls(order, ordered, sum(ordered.values()))
 
-    def freq(self, pattern: OrdinalPattern) -> float:
-        """Relative frequency of ``pattern`` (0.0 if never observed)."""
-        return self.counts.get(pattern, 0) / self.total
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternDistribution):
+            return NotImplemented
+        return (self.order, self.total, self.counts) == (other.order, other.total, other.counts)
+
+    @cached_property
+    def counts(self) -> Mapping[OrdinalPattern, int]:
+        """Each observed pattern's count, in ascending lexicographic rank order."""
+        seq, seen = self.distinct
+        by_rank = np.argsort(seq.ranks)
+        rows = seq.rows[by_rank].tolist()
+        return {OrdinalPattern(tuple(row)): c for row, c in zip(rows, seen[by_rank].tolist())}
+
+    @cached_property
+    def distinct(self) -> tuple[PatternSequence, np.ndarray]:
+        """Each observed pattern once, in code order, and its read-only int64 count."""
+        seq = PatternSequence(self.order, WindowScheme.SLIDING, [p.indices for p in self.counts])
+        by_code = np.argsort(seq._codes)
+        counts = np.fromiter(self.counts.values(), np.int64, len(self.counts))[by_code]
+        counts.flags.writeable = False
+        return PatternSequence._from_codes(self.order, seq.scheme, seq._codes[by_code]), counts
+
+    def freq(self, pattern: OrdinalPattern | Sequence[int]) -> float:
+        """Relative frequency of a pattern or index tuple (0.0 if never observed)."""
+        p = pattern if isinstance(pattern, OrdinalPattern) else OrdinalPattern(pattern)
+        if p.order != self.order:
+            raise OrderMismatch(f"pattern {p} has order {p.order}, distribution has {self.order}")
+        return self.counts.get(p, 0) / self.total
 
 
 @dataclass(frozen=True)
@@ -206,22 +227,14 @@ def distribution(seq: PatternSequence) -> PatternDistribution:
     """Count every pattern occurrence in a sequence."""
     if len(seq) == 0:
         raise EmptySequence("cannot build a distribution from zero windows")
-    distinct, cnt = _distinct(seq)
-    by_rank = np.argsort(distinct.ranks)
-    rows = distinct.rows[by_rank].tolist()
-    counts = {OrdinalPattern(tuple(row)): c for row, c in zip(rows, cnt[by_rank].tolist())}
-    return PatternDistribution(seq.order, counts, len(seq))
-
-
-def _distinct(seq: PatternSequence) -> tuple[PatternSequence, np.ndarray]:
-    # Each distinct pattern of seq once, in code order, and its count. Only
-    # these patterns are decoded from their codes. They are sorted in at
-    # least 16 bits: on 200k codes (numpy 2.4, x86-64) numpy's default sort
-    # took about 33 ns per uint8 code, against 1 ns per uint16 one.
-    codes = seq._codes
-    wide = codes.astype(np.promote_types(codes.dtype, np.uint16), copy=False)
+    # Sorted in at least 16 bits: numpy sorts uint8 codes ~30x slower (README).
+    wide = seq._codes.astype(np.promote_types(seq._codes.dtype, np.uint16), copy=False)
     distinct, counts = np.unique(wide, return_counts=True)
-    return PatternSequence._from_codes(seq.order, seq.scheme, distinct.astype(codes.dtype)), counts
+    counts.flags.writeable = False
+    distinct = PatternSequence._from_codes(seq.order, seq.scheme, distinct.astype(seq._codes.dtype))
+    dist = PatternDistribution.__new__(PatternDistribution)
+    dist.order, dist.total, dist.distinct = seq.order, len(seq), (distinct, counts)
+    return dist
 
 
 def coincident_reflected_counts(
@@ -249,16 +262,6 @@ def _cross_sums(
     return int(cx.take(ry).sum()), int(cx.take(ry_reflected).sum())
 
 
-def _dense_counts(dist: PatternDistribution) -> np.ndarray:
-    # The count of each code. A distribution's patterns are distinct, so are
-    # their codes; reversed, the vector counts each reflected pattern.
-    rows = [p.indices for p in dist.counts]
-    codes = PatternSequence(dist.order, WindowScheme.SLIDING, rows)._codes
-    dense = np.zeros(math.factorial(dist.order + 1), dtype=np.int64)
-    dense[codes] = list(dist.counts.values())
-    return dense
-
-
 def alpha_beta(
     dist_x: PatternDistribution,
     dist_y: PatternDistribution,
@@ -274,10 +277,14 @@ def alpha_beta(
         raise OrderMismatch(f"order {dist_x.order} vs {dist_y.order}")
     if not (0.0 <= p_eq <= 1.0 and 0.0 <= p_neq <= 1.0):
         raise ValueError(f"p_eq={p_eq} and p_neq={p_neq} must lie in [0, 1]")
-    cx, cy = _dense_counts(dist_x), _dense_counts(dist_y)
-    cross_eq, cross_neq = int(cx @ cy), int(cx @ cy[::-1])
+    (sx, cx), (sy, cy) = dist_x.distinct, dist_y.distinct
+    # Exact sums over the codes X shares with Y's and with Y's reflected ones.
+    cross = []
+    for ry in (sy._codes, (math.factorial(sy.order + 1) - 1) - sy._codes):
+        _, i, j = np.intersect1d(sx._codes, ry, assume_unique=True, return_indices=True)
+        cross.append(int(cx[i] @ cy[j]))
     pairs = dist_x.total * dist_y.total
-    return p_eq - cross_eq / pairs, p_neq - cross_neq / pairs
+    return p_eq - cross[0] / pairs, p_neq - cross[1] / pairs
 
 
 def _z_score(count: int, n: int, base: float) -> Optional[float]:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,6 +118,47 @@ def test_pattern_distribution_validation():
         PatternDistribution.from_counts({})
 
 
+def test_freq_reads_index_tuples_and_refuses_other_orders():
+    message = r"^pattern \(3,2,1,0\) has order 3, distribution has 2$"
+    for dist in (
+        distribution(pattern_sequence(np.arange(10.0), 2)),
+        PatternDistribution.from_counts({OrdinalPattern((2, 1, 0)): 8}),
+    ):
+        assert dist.freq((2, 1, 0)) == dist.freq(OrdinalPattern((2, 1, 0))) == 1.0
+        assert dist.freq([0, 1, 2]) == 0.0
+        with pytest.raises(OrderMismatch, match=message):
+            dist.freq(OrdinalPattern((3, 2, 1, 0)))
+        with pytest.raises(OrderMismatch, match=message):
+            dist.freq((3, 2, 1, 0))
+        with pytest.raises(ValueError, match="not a permutation"):
+            dist.freq((0, 0, 1))
+
+
+def test_ordinal_patterns_are_made_only_when_counts_are_read(monkeypatch):
+    # distribution() and alpha_beta count codes; the pattern -> count mapping
+    # is built on first read, one OrdinalPattern per distinct pattern.
+    walks = np.cumsum(np.random.default_rng(70).standard_normal((2, 5000)), axis=1)
+    sx, sy = (pattern_sequence(w, 8) for w in walks)
+    made = []
+    post_init = OrdinalPattern.__post_init__
+    monkeypatch.setattr(OrdinalPattern, "__post_init__", lambda p: made.append(p) or post_init(p))
+    dx, dy = distribution(sx), distribution(sy)
+    alpha_beta(dx, dy, 0.0, 0.0)
+    assert made == []
+    distinct, counts = dx.distinct
+    assert len(dx.counts) == len(distinct) == len(made) > 1000
+    assert dx.counts is dx.counts and len(made) == len(distinct)  # built once
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    monkeypatch.undo()
+    for seq, dist in ((sx, dx), (sy, distribution(sy))):
+        mapped = PatternDistribution.from_counts(Counter(seq))
+        assert dist == mapped and mapped == dist
+        assert list(dist.counts.items()) == list(mapped.counts.items())
+        assert np.array_equal(dist.distinct[0]._codes, mapped.distinct[0]._codes)
+        assert np.array_equal(dist.distinct[1], mapped.distinct[1])
+    assert dx != dy and dx != PatternDistribution.from_counts(Counter(list(sx)[1:]))
+
+
 # --- pairwise counts ---------------------------------------------------------------
 
 
@@ -185,6 +227,24 @@ def test_baseline_cauchy_schwarz_bound():
         bound = math.sqrt(sum(f * f for f in (c / dx.total for c in dx.counts.values())))
         bound *= math.sqrt(sum(f * f for f in (c / dy.total for c in dy.counts.values())))
         assert 0.0 <= base_eq <= bound + 1e-15 <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize("h", [9, 10, 12, 19])
+def test_alpha_beta_needs_no_array_of_every_pattern(h):
+    # At h = 12 a count per pattern would take 13! * 8 bytes, about 50 GB.
+    vx, vy = np.cumsum(np.random.default_rng(h).standard_normal((2, 60)), axis=1)
+    px, py = pattern_list(vx, h), pattern_list(vy, h)
+    fx, fy = Counter(px), Counter(py)
+    cross_eq = sum(c * fy[p] for p, c in fx.items())
+    cross_neq = sum(c * fy[p[::-1]] for p, c in fx.items())
+    p_eq, p_neq = 3 / len(px), 2 / len(px)
+    dx, dy = distribution(pattern_sequence(vx, h)), distribution(pattern_sequence(vy, h))
+    pairs = len(px) * len(py)
+    assert alpha_beta(dx, dy, p_eq, p_neq) == (p_eq - cross_eq / pairs, p_neq - cross_neq / pairs)
+    # Y against itself and against its mirror image: every pattern coincides,
+    # then every pattern is reflected.
+    dm = distribution(pattern_sequence(-vy, h))
+    assert alpha_beta(dy, dm, 0.0, 0.0)[1] == alpha_beta(dy, dy, 0.0, 0.0)[0] < 0.0
 
 
 # --- analyze_pair ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from ordpat import (
     rank_to_pattern,
     reflect,
 )
-from ordpat.dependence import _distinct, _phase_codes
+from ordpat.dependence import _phase_codes, distribution
 from ordpat.patterns import _code_type
 from oracles import (
     inversion_code,
@@ -267,7 +267,7 @@ def test_code_type_is_the_narrowest_that_holds_the_top_code(h):
     ]
     for scheme, epsilon in itertools.product(WindowScheme, (0.0, 0.5)):
         seq = pattern_sequence(values, h, scheme, epsilon)
-        seqs += [seq, _distinct(seq)[0]]
+        seqs += [seq, distribution(seq).distinct[0]]
         stride = 1 if scheme is WindowScheme.SLIDING else h
         phases = _phase_codes(series, h, scheme, range(stride), epsilon).values()
         seqs += [PatternSequence._from_codes(h, scheme, codes) for codes in phases]
